@@ -144,7 +144,7 @@ def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = N
     else:
         order = list(subset_order)
         _validate_order(order, d)
-    residual = dict(target.terms)  # private working copy; the target stays untouched
+    residual = target.terms.copy()  # private working copy; the target stays untouched
     coeffs: dict[SubsetSpec, int] = {}
     for spec in order:
         w = m_generic_monomial(spec, target.trunc)

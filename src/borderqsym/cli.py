@@ -5,6 +5,8 @@ or ``K:2:`` for the empty set.  Default output is a human-readable
 sorted term list; ``--json`` switches to canonical JSON (stable key
 order, so parsing and re-serializing is byte-identical).  Exit codes:
 0 success, 1 domain error or bad flags, 2 internal invariant violation.
+A request whose monomial slice C(V + d + 1, d) at output degree d
+exceeds 10^7 is refused up front with exit 1.
 Set BORDERQSYM_VERBOSE=1 for progress detail on stderr.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -45,6 +48,19 @@ def _note(msg: str) -> None:
 def dump_json(obj) -> str:
     """Canonical JSON used by every --json emitter."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# Largest monomial slice C(V + d + 1, d) a request may span.
+_SLICE_LIMIT = 10**7
+
+
+def _check_size(degree: int, trunc: int) -> None:
+    # runs before any enumeration; the constructors reject trunc < 1 themselves
+    size = math.comb(max(trunc, 0) + degree + 1, degree)
+    if size > _SLICE_LIMIT:
+        raise ValueError(
+            f"degree {degree} at vars {trunc} spans {size} monomials, above the limit of {_SLICE_LIMIT}"
+        )
 
 
 class _UsageError(Exception):
@@ -93,6 +109,7 @@ def _emit_series(series: Series, as_json: bool) -> None:
 def _cmd_kseries(args) -> int:
     spec = SubsetSpec.parse(args.n, args.set)
     trunc = args.vars if args.vars is not None else max(args.n, 1)
+    _check_size(args.n, trunc)
     _emit_series(k_series_q(spec, trunc, args.q), args.json)
     return 0
 
@@ -100,6 +117,7 @@ def _cmd_kseries(args) -> int:
 def _cmd_lseries(args) -> int:
     spec = SubsetSpec.parse(args.n, args.set)
     trunc = args.vars if args.vars is not None else max(args.n, 1)
+    _check_size(args.n, trunc)
     _emit_series(l_series(spec, trunc), args.json)
     return 0
 
@@ -108,6 +126,7 @@ def _product(args, extra_vars: int = 0) -> Series:
     kind_l, spec_l = parse_factor(args.left)
     kind_r, spec_r = parse_factor(args.right)
     trunc = args.vars if args.vars is not None else max(spec_l.n + spec_r.n + extra_vars, 1)
+    _check_size(spec_l.n + spec_r.n, trunc)
     return _factor_series(kind_l, spec_l, trunc) * _factor_series(kind_r, spec_r, trunc)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 INF: float = float("inf")
@@ -185,6 +186,8 @@ class Series:
     Invariants enforced on construction: every stored monomial has the
     tracked degree, uses natural indices up to ``trunc`` only, and no
     stored coefficient is zero.  A zero series keeps its degree tag.
+    ``terms`` is a read-only view, so a shared (cached) series cannot be
+    altered through it.
     """
 
     __slots__ = ("degree", "trunc", "terms")
@@ -207,7 +210,7 @@ class Series:
             clean[m] = c
         self.degree = degree
         self.trunc = trunc
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     @classmethod
     def zero(cls, degree: int, trunc: int) -> "Series":
@@ -224,7 +227,7 @@ class Series:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         if self.trunc != other.trunc:
             raise ValueError(f"truncation mismatch: {self.trunc} vs {other.trunc}")
-        out = dict(self.terms)
+        out = self.terms.copy()
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
         return Series(self.degree, self.trunc, out)

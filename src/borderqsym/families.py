@@ -10,6 +10,12 @@ Each kept tuple contributes its monomial weighted by 2 raised to the
 number of distinct natural indices it uses (an arbitrary nonzero base q
 replaces the 2 in :func:`k_series_q`).
 
+A padded tuple is fixed by its equality pattern (the n + 1 flags
+g_i = g_{i+1}) and one increasing natural per middle block.  The triple
+test and the weight depend only on the pattern, so members are built
+pattern by pattern; generic monomials and the oracle's resolutions go
+through the same :func:`pattern_representative`.
+
 The generic monomials of an L member are those whose only equalities are
 the forced ones; they drive the decomposition of products back onto the
 L family.
@@ -20,9 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .core import INF, Index, Monomial, Series, TruncationError, alphabet, is_natural
+from .core import INF, Monomial, Series, TruncationError, alphabet, is_natural
 
 
 @dataclass(frozen=True)
@@ -74,32 +80,47 @@ def all_subsets(n: int) -> Iterator[SubsetSpec]:
             yield SubsetSpec(n, frozenset(combo))
 
 
-def _padded(g: tuple[Index, ...], i: int) -> Index:
-    # g_0 = 0 and g_{n+1} = inf by convention.
-    if i == 0:
-        return 0
-    if i == len(g) + 1:
-        return INF
-    return g[i - 1]
+def equality_pattern(m: Monomial) -> tuple[bool, ...]:
+    """The flags g_i = g_{i+1}, i = 0..n, of m's padded nondecreasing tuple."""
+    g = (0, *m.indices(), INF)
+    return tuple(a == b for a, b in zip(g, g[1:]))
 
 
-def _in_equal_triple(g: tuple[Index, ...], i: int) -> bool:
-    return _padded(g, i - 1) == _padded(g, i) == _padded(g, i + 1)
+def pattern_representative(
+    pattern: Sequence[bool], naturals: Optional[Sequence[int]] = None
+) -> Optional[Monomial]:
+    """The monomial with this equality pattern, or None for the all-equal one.
 
-
-def _distinct_naturals(g: tuple[Index, ...]) -> int:
-    return len({x for x in g if is_natural(x)})
+    The first block of positions 0..n+1 takes 0, the last takes inf and
+    the middle blocks take ``naturals`` (default 1, 2, 3, ...).  The
+    all-equal pattern would identify 0 with inf, so no tuple has it.
+    """
+    sizes = [1]
+    for equal in pattern:
+        if equal:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    if len(sizes) == 1:
+        return None
+    if naturals is None:
+        naturals = range(1, len(sizes) - 1)
+    exponents = (sizes[0] - 1, *sizes[1:-1], sizes[-1] - 1)
+    return Monomial(zip((0, *naturals, INF), exponents, strict=True))
 
 
 @lru_cache(maxsize=None)
 def _family(kind: str, spec: SubsetSpec, trunc: int, q: int) -> Series:
-    keep = (lambda g: not any(_in_equal_triple(g, i) for i in spec.members)) if kind == "K" \
-        else (lambda g: all(_in_equal_triple(g, i) for i in spec.members))
+    # every placement of a kept pattern's k middle blocks weighs q^k
+    naturals = alphabet(trunc)[1:-1]
     terms = {}
-    for g in itertools.combinations_with_replacement(alphabet(trunc), spec.n):
-        if keep(g):
-            # distinct nondecreasing tuples give distinct monomials
-            terms[Monomial.from_indices(g)] = q ** _distinct_naturals(g)
+    for pattern in itertools.product((False, True), repeat=spec.n + 1):
+        k = pattern.count(False) - 1  # -1 only for the all-equal pattern
+        triples = [pattern[i - 1] and pattern[i] for i in spec.members]
+        if k < 0 or (any(triples) if kind == "K" else not all(triples)):
+            continue
+        for placement in itertools.combinations(naturals, k):
+            terms[pattern_representative(pattern, placement)] = q ** k
     return Series(spec.n, trunc, terms)
 
 
@@ -135,38 +156,22 @@ def is_l_special(m: Monomial) -> bool:
     return True
 
 
-def _forced_equalities(spec: SubsetSpec) -> list[bool]:
+def _forced_equalities(spec: SubsetSpec) -> tuple[bool, ...]:
     # Entry i says whether positions i and i+1 (of 0..n+1) are forced equal:
     # a member i merges positions i-1, i and i+1, hence both pairs around it.
-    return [(i in spec.members) or (i + 1 in spec.members) for i in range(spec.n + 1)]
+    return tuple((i in spec.members) or (i + 1 in spec.members) for i in range(spec.n + 1))
 
 
 def m_generic_monomial(spec: SubsetSpec, trunc: int) -> Optional[Monomial]:
     """The canonical generic monomial of the L member, or None when there is none.
 
-    Positions 0..n+1 split into blocks forced equal by the subset.  When
-    the blocks of positions 0 and n+1 coincide the forced chain would
-    identify 0 with inf, so no generic monomial exists (and the L member
-    itself is the zero series).  Otherwise the first block takes value 0,
-    the last takes inf, and the blocks in between take 1, 2, 3, ... in
-    order, the minimal assignment, which always fits once V >= n.
+    The minimal representative of the forced equality pattern; None when
+    the forced chain identifies 0 with inf (the L member is then zero).
+    It uses at most n naturals, so it always fits once V >= n.
     """
     if trunc < spec.n:
         raise TruncationError(f"need trunc >= {spec.n}, got {trunc}")
-    eq = _forced_equalities(spec)
-    if all(eq):
-        return None
-    values: list[Index] = [0]
-    nxt = 1
-    for e in eq:
-        if e:
-            values.append(values[-1])
-        else:
-            values.append(nxt)
-            nxt += 1
-    last = values[-1]
-    g = tuple(INF if v == last else v for v in values[1:-1])
-    return Monomial.from_indices(g)
+    return pattern_representative(_forced_equalities(spec))
 
 
 def m_membership(m: Monomial, spec: SubsetSpec) -> bool:
@@ -178,6 +183,4 @@ def m_membership(m: Monomial, spec: SubsetSpec) -> bool:
     """
     if m.degree != spec.n:
         raise ValueError(f"degree mismatch: monomial has {m.degree}, spec has n={spec.n}")
-    g = (0, *m.indices(), INF)
-    eq = _forced_equalities(spec)
-    return all((g[i] == g[i + 1]) == eq[i] for i in range(spec.n + 1))
+    return equality_pattern(m) == _forced_equalities(spec)

@@ -4,8 +4,9 @@ A monomial fails the special-monomial predicate through one of three
 local patterns in its padded nondecreasing index tuple: an interior
 natural pair (a natural variable with exponent exactly 2), a lone x0, or
 a lone xinf.  Resolving such a pattern replaces its single equality by a
-strict step and renormalizes the naturals to the minimal assignment
-1, 2, 3, ...; by quasisymmetry in the natural variables this canonical
+strict step and takes the minimal representative of the resulting
+equality pattern (naturals 1, 2, 3, ..., shared with the families
+module); by quasisymmetry in the natural variables this canonical
 choice carries the same coefficient as any other realization of the
 resolved pattern.
 
@@ -23,7 +24,7 @@ from enum import Enum
 from typing import Iterable
 
 from .core import INF, Index, Monomial, Series, TruncationError, all_monomials, is_border, is_natural
-from .families import SubsetSpec
+from .families import SubsetSpec, equality_pattern, pattern_representative
 
 
 class RelationKind(Enum):
@@ -66,25 +67,20 @@ def problematic_relations(m: Monomial) -> tuple[ProblematicRelation, ...]:
 def resolve(m: Monomial, relation: ProblematicRelation, trunc: int) -> Monomial:
     """Replace the relation's equality by a strict step and renormalize.
 
-    The result keeps every other relation between consecutive tuple
-    entries and uses the naturals 1, 2, 3, ... in order; it needs at most
-    ``m.degree`` of them, so any trunc >= degree always suffices.
+    The result is the minimal representative of m's equality pattern with
+    the relation's flag cleared: it keeps every other relation between
+    consecutive tuple entries and uses the naturals 1, 2, 3, ... in order.
+    It needs at most ``m.degree`` of them, so any trunc >= degree always
+    suffices.
     """
     if relation not in problematic_relations(m):
         raise ValueError(f"{relation} is not a problematic relation of {m}")
-    t: tuple[Index, ...] = (0, *m.indices(), INF)
-    n = m.degree
-    equal = [t[i] == t[i + 1] for i in range(n + 1)]
-    equal[relation.position] = False
-    values: list[Index] = [0]
-    nxt = 1
-    for e in equal:
-        values.append(values[-1] if e else nxt)
-        nxt += 0 if e else 1
-    if values[-1] - 1 > trunc:
-        raise TruncationError(f"resolution needs {values[-1] - 1} naturals, trunc is {trunc}")
-    last = values[-1]
-    return Monomial.from_indices(tuple(INF if v == last else v for v in values[1:-1]))
+    pattern = list(equality_pattern(m))
+    pattern[relation.position] = False
+    out = pattern_representative(pattern)
+    if out.max_natural() > trunc:
+        raise TruncationError(f"resolution needs {out.max_natural()} naturals, trunc is {trunc}")
+    return out
 
 
 def resolve_all(m: Monomial, trunc: int) -> Monomial:
@@ -120,7 +116,6 @@ def check_spreading(f: Series) -> bool:
 def _k_admits(g: tuple[Index, ...], members: Iterable[int]) -> bool:
     # Def of the K family on one tuple, kept local so this verifier does
     # not share code with the series constructors it cross-checks.
-    n = len(g)
     padded = (0, *g, INF)
     return not any(padded[i - 1] == padded[i] == padded[i + 1] for i in members)
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,6 +198,15 @@ def test_selftest_passes(run):
     assert payload["ok"] is True
     assert len(payload["results"]) == 5
     assert all(r["ok"] for r in payload["results"])
+
+
+def test_oversized_request_refused_promptly(run):
+    start = time.perf_counter()
+    code, out, err = run("kseries", "--n", "12", "--vars", "200")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert "13278801323196590818" in err and "10000000" in err
 
 
 def test_module_entry_point():

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borderqsym import (
     INF,
@@ -81,6 +83,57 @@ class TestKSeries:
                     assert c == 2 ** m.distinct_naturals()
                 for m, c in l_series(s, v).terms.items():
                     assert c == 2 ** m.distinct_naturals()
+
+
+class TestSharedResults:
+    def test_cached_member_cannot_be_mutated(self):
+        out = k_series(spec(1), 1)
+        with pytest.raises(AttributeError):
+            out.terms.clear()
+        with pytest.raises(TypeError):
+            out.terms[mono("x0")] = 5
+        fresh = k_series(spec(1), 1)
+        assert {str(m): c for m, c in fresh.terms.items()} == {"x0": 1, "x1": 2, "xinf": 1}
+
+
+def _reference_member(kind, s, trunc, q):
+    # The definition read literally, independent of the library: filter
+    # every nondecreasing tuple over 0 < 1 < ... < V < inf by the
+    # equal-triple rule and weigh it by q to its count of distinct naturals.
+    letters = (0, *range(1, trunc + 1), INF)
+    terms = {}
+    for g in itertools.combinations_with_replacement(letters, s.n):
+        padded = (0, *g, INF)
+        inside = [padded[i - 1] == padded[i] == padded[i + 1] for i in s.members]
+        if (not any(inside)) if kind == "K" else all(inside):
+            counts = {}
+            for x in g:
+                counts[x] = counts.get(x, 0) + 1
+            naturals = sum(1 for x in counts if x not in (0, INF))
+            terms[Monomial(counts)] = q**naturals
+    return Series(s.n, trunc, terms)
+
+
+def _assert_matches_reference(s, trunc):
+    assert k_series(s, trunc) == _reference_member("K", s, trunc, 2)
+    assert l_series(s, trunc) == _reference_member("L", s, trunc, 2)
+    assert k_series_q(s, trunc, 3) == _reference_member("K", s, trunc, 3)
+
+
+class TestAgainstTupleFilter:
+    @pytest.mark.parametrize("n", range(6))
+    def test_exhaustive_small_degrees(self, n):
+        for trunc in sorted({max(n, 1), n + 2}):
+            for s in all_subsets(n):
+                _assert_matches_reference(s, trunc)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_random_members(self, data):
+        n = data.draw(st.integers(0, 7))
+        trunc = data.draw(st.integers(max(n, 1), n + 2))
+        members = data.draw(st.sets(st.integers(1, n))) if n else set()
+        _assert_matches_reference(spec(n, *members), trunc)
 
 
 class TestLSeries:
