@@ -9,6 +9,15 @@ checking it is divisible by the predicted power of two, and subtracting
 that multiple of the L member.  A divisibility failure or a nonzero
 final residual means the target is outside the span of the family.
 
+The walk runs over one of two key spaces.  A quasisymmetric target is
+walked on its V-free M-coordinates (see the core module): the residual
+maps coordinates to coefficients, a generic monomial is read through its
+coordinate, and each L member subtracts its V-free coordinates, so no
+member is expanded at V.  Any other target is walked on its monomials,
+subtracting the L members built at V.  Both give the same coefficients
+and the same errors, since a quasisymmetric residual's monomials all
+carry their coordinate's coefficient.
+
 :func:`rational_solve` is an independent cross-check: it solves the same
 reconstruction problem as an exact linear system over the rationals,
 one equation per monomial of the truncated slice, by Gauss-Jordan
@@ -23,8 +32,16 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
-from .core import Monomial, Series, TruncationError
-from .families import SubsetSpec, all_subsets, k_series, l_series, m_generic_monomial
+from .core import Monomial, Series, TruncationError, _coordinates, _key
+from .families import (
+    SubsetSpec,
+    _pattern_coords,
+    _representative,
+    all_subsets,
+    k_series,
+    l_series,
+    m_generic_monomial,
+)
 
 
 class NotDivisibleError(ArithmeticError):
@@ -144,29 +161,38 @@ def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = N
     else:
         order = list(subset_order)
         _validate_order(order, d)
-    residual = target.terms.copy()  # private working copy; the target stays untouched
+    coords = _coordinates(target)
+    if coords is None:
+        residual = target.terms.copy()  # private working copies; the target stays untouched
+        key_of = monomial_of = lambda key: key
+        member = lambda spec: l_series(spec, target.trunc).terms
+    else:
+        residual = coords.copy()
+        key_of, monomial_of = _key, _representative
+        member = lambda spec: _pattern_coords("L", spec, 2)
     coeffs: dict[SubsetSpec, int] = {}
     for spec in order:
         w = m_generic_monomial(spec, target.trunc)
         if w is None:
             continue
-        c = residual.get(w, 0)
+        c = residual.get(key_of(w), 0)
         if c == 0:
             continue
         divisor = 2 ** w.distinct_naturals()
         if c % divisor:
             raise NotDivisibleError(spec, w, c, divisor)
         k = c // divisor
-        for m, lc in l_series(spec, target.trunc).terms.items():
-            value = residual.get(m, 0) - k * lc
+        for key, lc in member(spec).items():
+            value = residual.get(key, 0) - k * lc
             if value:
-                residual[m] = value
+                residual[key] = value
             else:
-                residual.pop(m, None)
+                residual.pop(key, None)
         coeffs[spec] = k
     if residual:
-        witness = min(residual, key=Monomial.sort_key)
-        raise NonzeroResidualError(witness, residual[witness])
+        # a coordinate's smallest monomial is its representative on 1, 2, 3, ...
+        witness = min(residual, key=lambda key: monomial_of(key).sort_key())
+        raise NonzeroResidualError(monomial_of(witness), residual[witness])
     return Decomposition(d, "L", coeffs)
 
 

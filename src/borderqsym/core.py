@@ -11,8 +11,22 @@ Monomial text encoding: factors joined by ``*`` in index order, with the
 exponent suffix ``^e`` omitted when e is 1, e.g. ``x0^2*x3*xinf^2``.
 The empty monomial encodes as ``1``.
 
+Bordered M-coordinates.  A series that is quasisymmetric in the natural
+variables is fixed by a V-free table (e0, word, e_inf) -> coefficient:
+the border exponents and the natural exponents read in increasing index
+order (Gessel's monomial quasisymmetric basis, bordered).  The series at
+V is the sum, over the table, of the coefficient times every monomial
+that places the word on increasing naturals 1..V; a word longer than V
+has no placement.  Products of such series add border exponents and
+quasi-shuffle the words (Hoffman, "Quasi-shuffle products", 2000), so
+:meth:`Series.mul` works on coordinates and expands only the result to
+monomials.  The monomial convolution runs only when a factor is not
+quasisymmetric.  ``terms`` is always the full, eagerly built mapping;
+the coordinates are extra, read once per series and kept beside it.
+
 Everything here is immutable after construction, so values can be shared
-freely across threads.
+freely across threads (a series keeps its M-coordinates once read; they
+never change, so a race only repeats the read).
 """
 
 from __future__ import annotations
@@ -20,8 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 INF: float = float("inf")
 
@@ -81,6 +96,14 @@ class Monomial:
             sorted((i, e) for i, e in items.items() if e > 0)
         )
         self.degree: int = sum(e for _, e in self.pairs)
+
+    @classmethod
+    def _trusted(cls, pairs: tuple[tuple[Index, int], ...], degree: int) -> "Monomial":
+        # For pairs that are valid by construction: sorted, positive, summing to degree.
+        m = object.__new__(cls)
+        m.pairs = pairs
+        m.degree = degree
+        return m
 
     @classmethod
     def from_indices(cls, g: Iterable[Index]) -> "Monomial":
@@ -190,7 +213,7 @@ class Series:
     altered through it.
     """
 
-    __slots__ = ("degree", "trunc", "terms")
+    __slots__ = ("degree", "trunc", "terms", "_coords")
 
     def __init__(self, degree: int, trunc: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
         if not isinstance(degree, int) or degree < 0:
@@ -211,6 +234,17 @@ class Series:
         self.degree = degree
         self.trunc = trunc
         self.terms = MappingProxyType(clean)
+        self._coords = None  # M-coordinates, once read
+
+    @classmethod
+    def _trusted(cls, degree: int, trunc: int, terms: dict, coords: Mapping[tuple, int]) -> "Series":
+        # For terms that are valid by construction, with their M-coordinates.
+        s = object.__new__(cls)
+        s.degree = degree
+        s.trunc = trunc
+        s.terms = MappingProxyType(terms)
+        s._coords = coords
+        return s
 
     @classmethod
     def zero(cls, degree: int, trunc: int) -> "Series":
@@ -238,14 +272,20 @@ class Series:
         return Series(self.degree, self.trunc, {m: c * v for m, v in self.terms.items()})
 
     def mul(self, other: "Series") -> "Series":
+        """The exact product; on M-coordinates when both factors are quasisymmetric."""
         if self.trunc != other.trunc:
             raise ValueError(f"truncation mismatch: {self.trunc} vs {other.trunc}")
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return Series(self.degree + other.degree, self.trunc, out)
+        a, b = _coordinates(self), _coordinates(other)
+        if a is None or b is None:
+            return _convolve(self, other)
+        out: dict[tuple, int] = {}
+        for (a0, u, ainf), ca in a.items():
+            for (b0, v, binf), cb in b.items():
+                c = ca * cb
+                for w, mult in _quasi_shuffle(u, v):
+                    key = (a0 + b0, w, ainf + binf)
+                    out[key] = out.get(key, 0) + c * mult
+        return _expand(self.degree + other.degree, self.trunc, {k: c for k, c in out.items() if c})
 
     def restrict(self, trunc: int) -> "Series":
         """Drop every monomial using a natural index beyond the new truncation.
@@ -302,6 +342,95 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series(degree={self.degree}, trunc={self.trunc}, nterms={len(self.terms)})"
+
+
+def _convolve(a: Series, b: Series) -> Series:
+    # Monomial by monomial; the only product for a factor that is not quasisymmetric.
+    out: dict[Monomial, int] = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = m1 * m2
+            out[m] = out.get(m, 0) + c1 * c2
+    return Series(a.degree + b.degree, a.trunc, out)
+
+
+# Entries of the quasi-shuffle cache.  Every pair of words of total weight
+# up to 10 fits (6,144 pairs); products of degree 7, the heaviest in the
+# benchmark, use at most 576.
+_QUASI_SHUFFLE_CACHE = 1 << 13
+
+
+def _key(m: Monomial) -> tuple:
+    """The M-coordinate of m: (e0, word of natural exponents, e_inf)."""
+    pairs = m.pairs
+    e0 = pairs[0][1] if pairs and pairs[0][0] == 0 else 0
+    einf = pairs[-1][1] if pairs and pairs[-1][0] == INF else 0
+    return (e0, tuple(e for i, e in pairs if i != 0 and i != INF), einf)
+
+
+def _coordinates(series: Series) -> Optional[Mapping[tuple, int]]:
+    """The series' M-coordinates, or None when it is not quasisymmetric.
+
+    Each key's group must hold all C(V, len(word)) placements, with one
+    shared coefficient: the condition :func:`relabel_check` tests.  Found
+    coordinates are kept on the series; a series without them is read
+    again on every call, which costs less than the convolution it gets.
+    """
+    if series._coords is None:
+        coords: dict[tuple, int] = {}
+        placements: dict[tuple, int] = {}
+        for m, c in series.terms.items():
+            key = _key(m)
+            if coords.setdefault(key, c) != c:
+                return None
+            placements[key] = placements.get(key, 0) + 1
+        if any(n != math.comb(series.trunc, len(key[1])) for key, n in placements.items()):
+            return None
+        series._coords = MappingProxyType(coords)
+    return series._coords
+
+
+@lru_cache(maxsize=_QUASI_SHUFFLE_CACHE)
+def _quasi_shuffle(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Hoffman's quasi-shuffle of two words, as (word, multiplicity) pairs.
+
+    Each result word starts with u's first letter, v's first letter, or
+    their sum, followed by a quasi-shuffle of what remains.
+    """
+    if not u or not v:
+        return ((u + v, 1),)
+    out: dict[tuple[int, ...], int] = {}
+    for head, rest in (
+        (u[0], _quasi_shuffle(u[1:], v)),
+        (v[0], _quasi_shuffle(u, v[1:])),
+        (u[0] + v[0], _quasi_shuffle(u[1:], v[1:])),
+    ):
+        for w, c in rest:
+            w = (head, *w)
+            out[w] = out.get(w, 0) + c
+    return tuple(out.items())
+
+
+def _expand(degree: int, trunc: int, coords: Mapping[tuple, int]) -> Series:
+    """The series at truncation V with these M-coordinates.
+
+    Every key must have the given degree and a nonzero coefficient.  A
+    word longer than V has no placement on 1..V, so its key is dropped.
+    """
+    kept: dict[tuple, int] = {}
+    terms: dict[Monomial, int] = {}
+    naturals = range(1, trunc + 1)
+    trusted = Monomial._trusted
+    for key, c in coords.items():
+        e0, word, einf = key
+        if len(word) > trunc:
+            continue
+        kept[key] = c
+        head = ((0, e0),) if e0 else ()
+        tail = ((INF, einf),) if einf else ()
+        for placement in itertools.combinations(naturals, len(word)):
+            terms[trusted((*head, *zip(placement, word), *tail), degree)] = c
+    return Series._trusted(degree, trunc, terms, MappingProxyType(kept))
 
 
 def relabel_check(series: Series) -> bool:

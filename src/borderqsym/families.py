@@ -12,9 +12,13 @@ replaces the 2 in :func:`k_series_q`).
 
 A padded tuple is fixed by its equality pattern (the n + 1 flags
 g_i = g_{i+1}) and one increasing natural per middle block.  The triple
-test and the weight depend only on the pattern, so members are built
-pattern by pattern; generic monomials and the oracle's resolutions go
-through the same :func:`pattern_representative`.
+test and the weight depend only on the pattern, and the pattern's block
+sizes are a bordered M-coordinate (e0, word, e_inf) of the core module,
+so each member is first built V-free, as the map from its kept patterns'
+coordinates to q^(number of middle blocks), and then expanded to its
+monomials at V by the core's one placement loop.  Generic monomials and
+the oracle's resolutions go through the same
+:func:`pattern_representative`.
 
 The generic monomials of an L member are those whose only equalities are
 the forced ones; they drive the decomposition of products back onto the
@@ -26,9 +30,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .core import INF, Monomial, Series, TruncationError, alphabet, is_natural
+from .core import INF, Monomial, Series, TruncationError, _expand, is_natural
+
+# Entries of each member cache.  The largest working set of any benchmark
+# workload is about 500 members (closure: every K and L member of degree
+# up to 6 at one V per degree), so members are never evicted in use.
+_MEMBER_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,28 @@ def equality_pattern(m: Monomial) -> tuple[bool, ...]:
     return tuple(a == b for a, b in zip(g, g[1:]))
 
 
+def _pattern_key(pattern: Sequence[bool]) -> Optional[tuple]:
+    # The M-coordinate (e0, word, e_inf) of the pattern's block sizes;
+    # None for the all-equal pattern, which would identify 0 with inf.
+    sizes = [1]
+    for equal in pattern:
+        if equal:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    if len(sizes) == 1:
+        return None
+    return (sizes[0] - 1, tuple(sizes[1:-1]), sizes[-1] - 1)
+
+
+def _representative(key: tuple, naturals: Optional[Sequence[int]] = None) -> Monomial:
+    # The monomial placing the key's word on ``naturals`` (default 1, 2, 3, ...).
+    e0, word, einf = key
+    if naturals is None:
+        naturals = range(1, len(word) + 1)
+    return Monomial(zip((0, *naturals, INF), (e0, *word, einf), strict=True))
+
+
 def pattern_representative(
     pattern: Sequence[bool], naturals: Optional[Sequence[int]] = None
 ) -> Optional[Monomial]:
@@ -95,33 +127,27 @@ def pattern_representative(
     the middle blocks take ``naturals`` (default 1, 2, 3, ...).  The
     all-equal pattern would identify 0 with inf, so no tuple has it.
     """
-    sizes = [1]
-    for equal in pattern:
-        if equal:
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-    if len(sizes) == 1:
-        return None
-    if naturals is None:
-        naturals = range(1, len(sizes) - 1)
-    exponents = (sizes[0] - 1, *sizes[1:-1], sizes[-1] - 1)
-    return Monomial(zip((0, *naturals, INF), exponents, strict=True))
+    key = _pattern_key(pattern)
+    return None if key is None else _representative(key, naturals)
 
 
-@lru_cache(maxsize=None)
-def _family(kind: str, spec: SubsetSpec, trunc: int, q: int) -> Series:
-    # every placement of a kept pattern's k middle blocks weighs q^k
-    naturals = alphabet(trunc)[1:-1]
-    terms = {}
+@lru_cache(maxsize=_MEMBER_CACHE)
+def _pattern_coords(kind: str, spec: SubsetSpec, q: int) -> Mapping[tuple, int]:
+    # V-free M-coordinates of a member: the key of each kept pattern with
+    # k middle blocks has coefficient q^k, which every placement carries.
+    coords = {}
     for pattern in itertools.product((False, True), repeat=spec.n + 1):
-        k = pattern.count(False) - 1  # -1 only for the all-equal pattern
         triples = [pattern[i - 1] and pattern[i] for i in spec.members]
-        if k < 0 or (any(triples) if kind == "K" else not all(triples)):
+        key = _pattern_key(pattern)
+        if key is None or (any(triples) if kind == "K" else not all(triples)):
             continue
-        for placement in itertools.combinations(naturals, k):
-            terms[pattern_representative(pattern, placement)] = q ** k
-    return Series(spec.n, trunc, terms)
+        coords[key] = q ** len(key[1])
+    return MappingProxyType(coords)
+
+
+@lru_cache(maxsize=_MEMBER_CACHE)
+def _family(kind: str, spec: SubsetSpec, trunc: int, q: int) -> Series:
+    return _expand(spec.n, trunc, _pattern_coords(kind, spec, q))
 
 
 def k_series(spec: SubsetSpec, trunc: int) -> Series:
