@@ -9,14 +9,16 @@ checking it is divisible by the predicted power of two, and subtracting
 that multiple of the L member.  A divisibility failure or a nonzero
 final residual means the target is outside the span of the family.
 
-The walk runs over one of two key spaces.  A quasisymmetric target is
-walked on its V-free M-coordinates (see the core module): the residual
-maps coordinates to coefficients, a generic monomial is read through its
-coordinate, and each L member subtracts its V-free coordinates, so no
-member is expanded at V.  Any other target is walked on its monomials,
-subtracting the L members built at V.  Both give the same coefficients
-and the same errors, since a quasisymmetric residual's monomials all
-carry their coordinate's coefficient.
+The walk runs on one key space, the V-free M-coordinates of the core
+module, and subtracts V-free L members, so no member is built at V.  A
+quasisymmetric target seeds the residual with its coordinates; any other
+target with its smallest placements (naturals exactly 1..k), keyed by
+coordinate.  Generic monomials are smallest placements, and every L
+member carries its coordinate's coefficient there, so the coefficients
+and errors are those of a walk on monomials at V.  The witness of a
+nonzero residual is the smallest monomial of the target minus the
+reconstruction of what was found; a target that is not quasisymmetric
+always leaves one.  :func:`reconstruct` sums coordinates, expands once.
 
 :func:`rational_solve` is an independent cross-check: it solves the same
 reconstruction problem as an exact linear system over the rationals,
@@ -30,17 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import Monomial, Series, TruncationError, _coordinates, _key
+from .core import Monomial, Series, TruncationError, _coordinates, _expand, _key
 from .families import (
     SubsetSpec,
+    _forced_equalities,
     _pattern_coords,
+    _pattern_key,
     _representative,
     all_subsets,
-    k_series,
-    l_series,
-    m_generic_monomial,
 )
 
 
@@ -114,23 +115,21 @@ class Decomposition:
         return cls(degree, obj["basis"], coeffs)
 
 
-def _signed_subsets(spec: SubsetSpec) -> dict[SubsetSpec, int]:
+def _signed_subsets(spec: SubsetSpec) -> Iterator[tuple[frozenset[int], int]]:
     members = spec.members_sorted()
-    out = {}
     for size in range(len(members) + 1):
         for combo in combinations(members, size):
-            out[SubsetSpec(spec.n, frozenset(combo))] = (-1) ** size
-    return out
+            yield frozenset(combo), (-1) ** size
 
 
 def k_from_l(spec: SubsetSpec) -> Decomposition:
     """The K member as the signed sum of L members over all subsets of its set."""
-    return Decomposition(spec.n, "L", _signed_subsets(spec))
+    return Decomposition(spec.n, "L", {SubsetSpec(spec.n, sub): sign for sub, sign in _signed_subsets(spec)})
 
 
 def l_from_k(spec: SubsetSpec) -> Decomposition:
     """The L member as the signed sum of K members; mirror of :func:`k_from_l`."""
-    return Decomposition(spec.n, "K", _signed_subsets(spec))
+    return Decomposition(spec.n, "K", {SubsetSpec(spec.n, sub): sign for sub, sign in _signed_subsets(spec)})
 
 
 def _validate_order(order: Sequence[SubsetSpec], degree: int) -> None:
@@ -163,58 +162,59 @@ def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = N
         _validate_order(order, d)
     coords = _coordinates(target)
     if coords is None:
-        residual = target.terms.copy()  # private working copies; the target stays untouched
-        key_of = monomial_of = lambda key: key
-        member = lambda spec: l_series(spec, target.trunc).terms
+        # the walk reads only generic monomials, which are smallest placements
+        residual = {
+            _key(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()
+        }
     else:
-        residual = coords.copy()
-        key_of, monomial_of = _key, _representative
-        member = lambda spec: _pattern_coords("L", spec, 2)
+        residual = coords.copy()  # a private working copy; the target stays untouched
     coeffs: dict[SubsetSpec, int] = {}
     for spec in order:
-        w = m_generic_monomial(spec, target.trunc)
-        if w is None:
+        generic = _pattern_key(_forced_equalities(spec))  # the generic monomial's coordinate
+        if generic is None:
             continue
-        c = residual.get(key_of(w), 0)
+        c = residual.get(generic, 0)
         if c == 0:
             continue
-        divisor = 2 ** w.distinct_naturals()
+        divisor = 2 ** len(generic[1])
         if c % divisor:
-            raise NotDivisibleError(spec, w, c, divisor)
+            raise NotDivisibleError(spec, _representative(generic), c, divisor)
         k = c // divisor
-        for key, lc in member(spec).items():
+        for key, lc in _pattern_coords("L", spec, 2).items():
             value = residual.get(key, 0) - k * lc
             if value:
                 residual[key] = value
             else:
                 residual.pop(key, None)
         coeffs[spec] = k
-    if residual:
-        # a coordinate's smallest monomial is its representative on 1, 2, 3, ...
-        witness = min(residual, key=lambda key: monomial_of(key).sort_key())
-        raise NonzeroResidualError(monomial_of(witness), residual[witness])
-    return Decomposition(d, "L", coeffs)
+    found = Decomposition(d, "L", coeffs)
+    if residual or coords is None:
+        left = target - reconstruct(found, target.trunc)
+        if not left.is_zero():
+            witness, c = min(left.terms.items(), key=lambda mc: mc[0].sort_key())
+            raise NonzeroResidualError(witness, c)
+    return found
 
 
 def decompose_k(target: Series) -> Decomposition:
     """Decompose onto the K family: L-decompose, then expand each L member in K."""
     by_l = decompose_l(target)
-    out: dict[SubsetSpec, int] = {}
+    out: dict[frozenset[int], int] = {}
     for spec, c in by_l.coeffs.items():
-        for sub, sign in _signed_subsets(spec).items():
+        for sub, sign in _signed_subsets(spec):
             out[sub] = out.get(sub, 0) + c * sign
-    return Decomposition(target.degree, "K", {s: c for s, c in out.items() if c})
+    return Decomposition(target.degree, "K", {SubsetSpec(target.degree, sub): c for sub, c in out.items() if c})
 
 
 def reconstruct(dec: Decomposition, trunc: int) -> Series:
     """Evaluate the combination at truncation V >= degree."""
     if trunc < dec.degree:
         raise TruncationError(f"need trunc >= degree {dec.degree}, got {trunc}")
-    build = k_series if dec.basis == "K" else l_series
-    total = Series.zero(dec.degree, trunc)
+    coords: dict[tuple, int] = {}
     for spec, c in dec.coeffs.items():
-        total = total + build(spec, trunc).scale(c)
-    return total
+        for key, v in _pattern_coords(dec.basis, spec, 2).items():
+            coords[key] = coords.get(key, 0) + c * v
+    return _expand(dec.degree, trunc, {key: c for key, c in coords.items() if c})
 
 
 def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[Fraction]]:

@@ -177,14 +177,18 @@ def _cmd_check_spreading(args) -> int:
     return 0 if ok else 1
 
 
+def _q_square_in_span(q: int) -> bool:
+    # whether the square of the degree-1 member spans the degree-2 members, base q
+    one = SubsetSpec(1)
+    square = k_series_q(one, 2, q) * k_series_q(one, 2, q)
+    columns = [k_series_q(spec, 2, q) for spec in all_subsets(2)]
+    return rational_solve(columns, square) is not None
+
+
 def _cmd_check_q(args) -> int:
     if args.q == 0:
         raise ValueError("q must be nonzero")
-    one = SubsetSpec(1)
-    square = k_series_q(one, 2, args.q) * k_series_q(one, 2, args.q)
-    columns = [k_series_q(spec, 2, args.q) for spec in all_subsets(2)]
-    solution = rational_solve(columns, square)
-    in_span = solution is not None
+    in_span = _q_square_in_span(args.q)
     if args.json:
         sys.stdout.write(dump_json({"q": args.q, "in_span": in_span}))
     elif in_span:
@@ -264,11 +268,8 @@ def _suite_case_rule(max_m: int = 4) -> tuple[bool, str]:
 
 
 def _suite_q_rigidity() -> tuple[bool, str]:
-    one = SubsetSpec(1)
     for q, expect_in_span in ((2, True), (3, False)):
-        square = k_series_q(one, 2, q) * k_series_q(one, 2, q)
-        columns = [k_series_q(spec, 2, q) for spec in all_subsets(2)]
-        if (rational_solve(columns, square) is not None) != expect_in_span:
+        if _q_square_in_span(q) != expect_in_span:
             return False, f"unexpected span result for q={q}"
     return True, "q=2 representable, q=3 outside the span"
 

@@ -371,10 +371,12 @@ def _key(m: Monomial) -> tuple:
 def _coordinates(series: Series) -> Optional[Mapping[tuple, int]]:
     """The series' M-coordinates, or None when it is not quasisymmetric.
 
-    Each key's group must hold all C(V, len(word)) placements, with one
-    shared coefficient: the condition :func:`relabel_check` tests.  Found
-    coordinates are kept on the series; a series without them is read
-    again on every call, which costs less than the convolution it gets.
+    The one place where quasisymmetry is tested; :func:`relabel_check`
+    only reports the answer.  The terms are grouped by coordinate, and
+    each group must hold all C(V, len(word)) placements with one shared
+    coefficient.  Found coordinates are kept on the series; a series
+    without them is read again on every call, which costs less than the
+    convolution it gets.
     """
     if series._coords is None:
         coords: dict[tuple, int] = {}
@@ -440,21 +442,8 @@ def relabel_check(series: Series) -> bool:
     on the word of natural exponents read in increasing index order, but
     not on which strictly increasing natural indices carry that word.
     Checked against every index choice within [1..trunc], so absent
-    relabelings count as coefficient zero.
+    relabelings count as coefficient zero.  This is the public face of
+    the M-coordinate read: the series is quasisymmetric exactly when it
+    has coordinates.
     """
-    groups: dict[tuple, dict[tuple, int]] = {}
-    for m, c in series.terms.items():
-        e0 = m.exponent(0)
-        einf = m.exponent(INF)
-        naturals = [(i, e) for i, e in m.pairs if is_natural(i)]
-        word = tuple(e for _, e in naturals)
-        supp = tuple(i for i, _ in naturals)
-        groups.setdefault((e0, word, einf), {})[supp] = c
-    for (e0, word, einf), placements in groups.items():
-        expected = math.comb(series.trunc, len(word))
-        if len(placements) != expected:
-            return False
-        coeffs = set(placements.values())
-        if len(coeffs) != 1:
-            return False
-    return True
+    return _coordinates(series) is not None

@@ -1,17 +1,21 @@
 """The M-coordinate engine against monomial references written here.
 
-``Series.mul`` and ``decompose_l`` work on bordered M-coordinates when
-their input is quasisymmetric.  This file keeps two references of its
-own, sharing no code with that engine: a monomial convolution over
-packed exponent vectors, and the L walk on monomials.  Products must
-equal the convolution, decompositions must equal the walk (errors
-included), and ``relabel_check`` must agree with whether coordinates
-exist.  It also pins the errors of out-of-span targets, checks that
-family products never reach the library's own convolution, and that
-every library cache is bounded.
+``Series.mul`` works on bordered M-coordinates when its factors are
+quasisymmetric; ``decompose_l`` and ``reconstruct`` always do.  This
+file keeps three references of its own, sharing no code with that
+engine: a monomial convolution over packed exponent vectors, the L walk
+on monomials at V, and the group-and-count quasisymmetry test.
+Products must equal the convolution, decompositions of any target,
+quasisymmetric or not, must equal the walk (errors included), and
+``relabel_check`` and the coordinate read must agree with the test.  It
+also pins the errors of out-of-span targets, checks that family products
+never reach the library's own convolution and that decomposing and
+reconstructing build no member at V, and that every library cache is
+bounded.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +96,19 @@ def reference_walk(target):
     return ("ok", coeffs)
 
 
+def reference_relabel(series):
+    """Quasisymmetry by grouping monomials on (e0, word, e_inf) and counting placements."""
+    groups = {}
+    for m, c in series.terms.items():
+        naturals = [(i, e) for i, e in m.pairs if i != 0 and i != INF]
+        key = (m.exponent(0), tuple(e for _, e in naturals), m.exponent(INF))
+        groups.setdefault(key, {})[tuple(i for i, _ in naturals)] = c
+    return all(
+        len(placements) == math.comb(series.trunc, len(word)) and len(set(placements.values())) == 1
+        for (_, word, _), placements in groups.items()
+    )
+
+
 def library_walk(target):
     try:
         return ("ok", decompose_l(target).coeffs)
@@ -129,7 +146,9 @@ def check_decompositions(target):
 
 
 def check_relabel_agreement(series):
-    assert relabel_check(series) == (core._coordinates(series) is not None)
+    expected = reference_relabel(series)
+    assert relabel_check(series) == expected
+    assert (core._coordinates(series) is not None) == expected
 
 
 def check_kept_coordinates(series):
@@ -177,6 +196,8 @@ class TestExhaustive:
                 check_kept_coordinates(series)
                 for perturbed in perturbations(series):
                     check_relabel_agreement(perturbed)
+                    if trunc >= s.n:
+                        check_decompositions(perturbed)
 
 
 def perturbations(series):
@@ -211,9 +232,37 @@ def test_random_products_agree_with_the_references(pair):
     check_relabel_agreement(product)
     for perturbed in perturbations(product):
         check_relabel_agreement(perturbed)
+        if product.trunc >= product.degree:
+            check_decompositions(perturbed)
     if product.trunc >= product.degree and check_decompositions(product):
         assert reconstruct(decompose_l(product), product.trunc) == product
         assert reconstruct(decompose_k(product), product.trunc) == product
+
+
+@st.composite
+def sparse_series(draw):
+    """A few random monomials with small coefficients; rarely quasisymmetric."""
+    d = draw(st.integers(0, 5))
+    trunc = draw(st.integers(max(d, 1), d + 2))
+    index = st.sampled_from(alphabet(trunc))
+    monomials = st.lists(index, min_size=d, max_size=d).map(lambda g: Monomial.from_indices(sorted(g)))
+    coefficient = st.sampled_from([1, -1, 2, -2, 3, 4, -8, 12])
+    return Series(d, trunc, draw(st.dictionaries(monomials, coefficient, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_series())
+def test_random_series_agree_with_the_walk(series):
+    check_relabel_agreement(series)
+    if check_decompositions(series):
+        assert reconstruct(decompose_l(series), series.trunc) == series
+
+
+def test_residual_without_smallest_placements():
+    # x2^3 places its word on 2, not 1, so the walk never reads it
+    with pytest.raises(NonzeroResidualError) as err:
+        decompose_l(Series(3, 4, {mono("x2^3"): 1}))
+    assert (err.value.witness, err.value.coefficient) == (mono("x2^3"), 1)
 
 
 @pytest.fixture
@@ -222,7 +271,6 @@ def no_monomial_engine(monkeypatch):
         raise AssertionError("monomial engine reached")
 
     monkeypatch.setattr(core, "_convolve", refuse)
-    monkeypatch.setattr(basis, "l_series", refuse)
 
 
 @pytest.mark.usefixtures("no_monomial_engine")
@@ -276,6 +324,22 @@ class TestCoordinatePathIsTaken:
     def test_cli_decompose(self, no_monomial_engine, capsys):
         assert cli.main(["decompose", "--basis", "K", "--left", "K:2:1", "--right", "K:3:2", "--json"]) == 0
         assert '"basis": "K"' in capsys.readouterr().out
+
+    def test_no_member_is_built_at_v(self, monkeypatch):
+        products = [build(left, 5) * build(right, 5)
+                    for left, right in [(spec(2, 1), spec(3, 2)), (spec(1), spec(4, 1, 3))]
+                    for build in (k_series, l_series)]
+        outside = Series(2, 3, {mono("x1*x2"): 4})
+
+        def refuse(*args):
+            raise AssertionError("member built at V")
+
+        monkeypatch.setattr(borderqsym.families, "_family", refuse)
+        for product in products:
+            for decompose in (decompose_l, decompose_k):
+                assert reconstruct(decompose(product), 5) == product
+        with pytest.raises(NonzeroResidualError):
+            decompose_l(outside)
 
     def test_other_input_reaches_the_convolution(self, no_monomial_engine):
         x1 = Series(1, 2, {mono("x1"): 1})
