@@ -21,14 +21,19 @@ reconstruction of what was found; a target that is not quasisymmetric
 always leaves one.  :func:`reconstruct` sums coordinates, expands once.
 
 :func:`rational_solve` is an independent cross-check: it solves the same
-reconstruction problem as an exact linear system over the rationals,
-one equation per monomial of the truncated slice, by Gauss-Jordan
-elimination over ``Fraction``.  It shares nothing with the elimination
+reconstruction problem as an exact linear system over the rationals by
+fraction-free Gauss-Jordan elimination (each step scales a row by the
+pivot, subtracts, and divides out the row's gcd; the answer is one
+division per pivot).  It has one equation per M-coordinate when the
+target and every column have coordinates, otherwise one per monomial of
+their supports; every placement repeats its coordinate's equation, so
+both give the same solution.  It shares no elimination code with the
 walk above, so agreement between the two is meaningful.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
@@ -227,13 +232,11 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
     for col in columns:
         if col.degree != target.degree or col.trunc != target.trunc:
             raise ValueError("columns must match the target's degree and truncation")
-    monomials = sorted(
-        set(chain(target.terms, *(c.terms for c in columns))), key=Monomial.sort_key
-    )
-    rows = [
-        [Fraction(c.coefficient(m)) for c in columns] + [Fraction(target.coefficient(m))]
-        for m in monomials
-    ]
+    series = (*columns, target)
+    tables = [_coordinates(s) for s in series]
+    if any(t is None for t in tables):
+        tables = [s.terms for s in series]
+    rows = [[t.get(key, 0) for t in tables] for key in set(chain(*tables))]
     ncols = len(columns)
     pivots: list[int] = []
     r = 0
@@ -242,12 +245,14 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r]
+        pv = pivot[col]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                f = row[col]
+                row = [pv * a - f * b for a, b in zip(row, pivot)]
+                g = math.gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -256,6 +261,6 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
         if rows[i][ncols] != 0:
             return None
     solution = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        solution[col] = rows[row_idx][ncols]
+    for row, col in zip(rows, pivots):
+        solution[col] = Fraction(row[ncols], row[col])
     return solution

@@ -418,20 +418,25 @@ def _expand(degree: int, trunc: int, coords: Mapping[tuple, int]) -> Series:
 
     Every key must have the given degree and a nonzero coefficient.  A
     word longer than V has no placement on 1..V, so its key is dropped.
+    The monomials share their (index, exponent) pairs: each pair is one
+    tuple from a per-call table, which halves the memory of the terms.
     """
     kept: dict[tuple, int] = {}
     terms: dict[Monomial, int] = {}
     naturals = range(1, trunc + 1)
     trusted = Monomial._trusted
+    # cells[e] holds (i, e) for i = 0, 1, ..., V and then (INF, e)
+    cells = [[*((i, e) for i in range(trunc + 1)), (INF, e)] for e in range(degree + 1)]
     for key, c in coords.items():
         e0, word, einf = key
         if len(word) > trunc:
             continue
         kept[key] = c
-        head = ((0, e0),) if e0 else ()
-        tail = ((INF, einf),) if einf else ()
+        head = (cells[e0][0],) if e0 else ()
+        tail = (cells[einf][-1],) if einf else ()
+        columns = [cells[e] for e in word]
         for placement in itertools.combinations(naturals, len(word)):
-            terms[trusted((*head, *zip(placement, word), *tail), degree)] = c
+            terms[trusted((*head, *map(list.__getitem__, columns, placement), *tail), degree)] = c
     return Series._trusted(degree, trunc, terms, MappingProxyType(kept))
 
 

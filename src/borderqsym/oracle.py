@@ -12,18 +12,34 @@ resolved pattern.
 
 The spreading check asserts that every resolution doubles the
 coefficient; L members and their products satisfy it, which is what
-makes the elimination in the basis module terminate at zero.  The
-case-rule coefficient function recomputes degree-1 K product
+makes the elimination in the basis module terminate at zero.  Relations
+and resolutions depend only on a monomial's equality pattern, and the
+coefficient of a quasisymmetric series only on the monomial's bordered
+M-coordinate, so such a series is checked on one representative per
+pattern (2^(n+1) - 1 of them) instead of on every monomial of the slice.
+The case-rule coefficient function recomputes degree-1 K product
 coefficients per variable, without ever multiplying series.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .core import INF, Index, Monomial, Series, TruncationError, all_monomials, is_border, is_natural
+from .core import (
+    INF,
+    Index,
+    Monomial,
+    Series,
+    TruncationError,
+    _coordinates,
+    _key,
+    all_monomials,
+    is_border,
+    is_natural,
+)
 from .families import SubsetSpec, equality_pattern, pattern_representative
 
 
@@ -99,16 +115,35 @@ def check_spreading(f: Series) -> bool:
     slice, not just the support, so a resolution landing outside the
     support counts as coefficient zero.  Needs trunc >= degree + 1 so
     that a resolution can always spend one fresh natural value.
+
+    A quasisymmetric f is swept by equality pattern instead: one
+    representative per pattern, every coefficient read from its
+    M-coordinate.  That is exact because a monomial's relations and
+    resolutions depend only on its pattern, and its coefficient only on
+    its coordinate; with V >= degree + 1 every coordinate has a
+    placement, so none reads as zero by mistake.
     """
     if f.trunc < f.degree + 1:
         raise TruncationError(f"need trunc >= degree + 1 = {f.degree + 1}, got {f.trunc}")
-    for m in all_monomials(f.degree, f.trunc):
+    coords = _coordinates(f)
+    if coords is None:
+        monomials: Iterable[Monomial] = all_monomials(f.degree, f.trunc)
+        coefficient = f.coefficient
+    else:
+        patterns = itertools.product((False, True), repeat=f.degree + 1)
+        # pattern_representative gives None for the all-equal pattern only
+        monomials = filter(None, map(pattern_representative, patterns))
+
+        def coefficient(m: Monomial) -> int:
+            return coords.get(_key(m), 0)
+
+    for m in monomials:
         relations = problematic_relations(m)
         if not relations:
             continue
-        c = f.coefficient(m)
+        c = coefficient(m)
         for relation in relations:
-            if 2 * c != f.coefficient(resolve(m, relation, f.trunc)):
+            if 2 * c != coefficient(resolve(m, relation, f.trunc)):
                 return False
     return True
 
@@ -134,10 +169,11 @@ def k1_coefficient(mono: Monomial, right: SubsetSpec) -> int:
     if mono.degree != right.n + 1:
         raise ValueError(f"degree mismatch: monomial has {mono.degree}, expected {right.n + 1}")
     big_m = 2 ** mono.distinct_naturals()
+    g = mono.indices()
     total = 0
     for i, e in mono.pairs:
-        quotient = mono.drop_one(i)
-        if not _k_admits(quotient.indices(), right.members):
+        at = g.index(i)
+        if not _k_admits(g[:at] + g[at + 1:], right.members):  # the tuple of mono / x_i
             continue
         if is_border(i) or e == 1:
             total += big_m
