@@ -19,10 +19,14 @@ V is the sum, over the table, of the coefficient times every monomial
 that places the word on increasing naturals 1..V; a word longer than V
 has no placement.  Products of such series add border exponents and
 quasi-shuffle the words (Hoffman, "Quasi-shuffle products", 2000), so
-:meth:`Series.mul` works on coordinates and expands only the result to
-monomials.  The monomial convolution runs only when a factor is not
-quasisymmetric.  ``terms`` is always the full, eagerly built mapping;
-the coordinates are extra, read once per series and kept beside it.
+:meth:`Series.mul` works on coordinates, and so do addition, scaling,
+comparison and restriction when every operand has them.  A series born
+from coordinates (a family member, a product, a reconstruction, a sum)
+keeps only them: its ``terms`` is a read-only mapping view that places
+the words at V when it is iterated or looked up, and stores no monomial.
+Any other series keeps a validated dict of its monomials; its
+coordinates, when it has them, are read once and kept beside it.  The
+monomial convolution runs only when a factor is not quasisymmetric.
 
 Everything here is immutable after construction, so values can be shared
 freely across threads (a series keeps its M-coordinates once read; they
@@ -34,9 +38,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import ItemsView, Mapping
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 INF: float = float("inf")
 
@@ -155,11 +160,11 @@ class Monomial:
         return sum(1 for i, _ in self.pairs if is_natural(i))
 
     def max_natural(self) -> int:
-        best = 0
-        for i, _ in self.pairs:
-            if is_natural(i):
-                best = int(i) if i > best else best
-        return best
+        # the pairs are sorted: the largest natural is the last index below inf
+        for i, _ in reversed(self.pairs):
+            if i != INF:
+                return i
+        return 0
 
     def drop_one(self, i: Index) -> "Monomial":
         """Divide by the variable x_i once; x_i must be present."""
@@ -199,8 +204,9 @@ class Monomial:
 
 def all_monomials(degree: int, trunc: int) -> Iterator[Monomial]:
     """Every degree-d monomial over the alphabet at truncation V."""
+    trusted = Monomial._trusted
     for g in itertools.combinations_with_replacement(alphabet(trunc), degree):
-        yield Monomial.from_indices(g)
+        yield trusted(tuple((i, len(list(run))) for i, run in itertools.groupby(g)), degree)
 
 
 class Series:
@@ -210,7 +216,9 @@ class Series:
     tracked degree, uses natural indices up to ``trunc`` only, and no
     stored coefficient is zero.  A zero series keeps its degree tag.
     ``terms`` is a read-only view, so a shared (cached) series cannot be
-    altered through it.
+    altered through it.  The constructor keeps a validated dict behind
+    it; a series born from M-coordinates (see :func:`_expand`) keeps only
+    its coordinates, and its ``terms`` places them at V on demand.
     """
 
     __slots__ = ("degree", "trunc", "terms", "_coords")
@@ -237,12 +245,13 @@ class Series:
         self._coords = None  # M-coordinates, once read
 
     @classmethod
-    def _trusted(cls, degree: int, trunc: int, terms: dict, coords: Mapping[tuple, int]) -> "Series":
-        # For terms that are valid by construction, with their M-coordinates.
+    def _trusted(cls, degree: int, trunc: int, terms: Mapping[Monomial, int], coords: Mapping[tuple, int]) -> "Series":
+        # For terms that are valid by construction, with their M-coordinates;
+        # a dict is wrapped read-only, a placement view is read-only already.
         s = object.__new__(cls)
         s.degree = degree
         s.trunc = trunc
-        s.terms = MappingProxyType(terms)
+        s.terms = MappingProxyType(terms) if isinstance(terms, dict) else terms
         s._coords = coords
         return s
 
@@ -261,15 +270,24 @@ class Series:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         if self.trunc != other.trunc:
             raise ValueError(f"truncation mismatch: {self.trunc} vs {other.trunc}")
-        out = self.terms.copy()
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Series(self.degree, self.trunc, out)
+        a, b = _coordinates(self), _coordinates(other)
+        if a is None or b is None:
+            out = self.terms.copy()
+            for m, c in other.terms.items():
+                out[m] = out.get(m, 0) + c
+            return Series(self.degree, self.trunc, out)
+        out = dict(a)
+        for key, c in b.items():
+            out[key] = out.get(key, 0) + c
+        return _expand(self.degree, self.trunc, {key: c for key, c in out.items() if c})
 
     def scale(self, c: int) -> "Series":
         if not isinstance(c, int):
             raise ValueError(f"scale factor must be an integer, got {c!r}")
-        return Series(self.degree, self.trunc, {m: c * v for m, v in self.terms.items()})
+        coords = _coordinates(self)
+        if coords is None:
+            return Series(self.degree, self.trunc, {m: c * v for m, v in self.terms.items()})
+        return _expand(self.degree, self.trunc, {key: c * v for key, v in coords.items()} if c else {})
 
     def mul(self, other: "Series") -> "Series":
         """The exact product; on M-coordinates when both factors are quasisymmetric."""
@@ -297,7 +315,10 @@ class Series:
             raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
         if trunc > self.trunc:
             raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
-        return Series(self.degree, trunc, {m: c for m, c in self.terms.items() if m.max_natural() <= trunc})
+        coords = _coordinates(self)
+        if coords is None:
+            return Series(self.degree, trunc, {m: c for m, c in self.terms.items() if m.max_natural() <= trunc})
+        return _expand(self.degree, trunc, coords)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
@@ -328,12 +349,12 @@ class Series:
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.degree == other.degree
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
+        if not isinstance(other, Series) or (self.degree, self.trunc) != (other.degree, other.trunc):
+            return False
+        a, b = _coordinates(self), _coordinates(other)
+        if a is None or b is None:
+            return self.terms == other.terms
+        return a == b
 
     def __str__(self) -> str:
         if not self.terms:
@@ -347,8 +368,9 @@ class Series:
 def _convolve(a: Series, b: Series) -> Series:
     # Monomial by monomial; the only product for a factor that is not quasisymmetric.
     out: dict[Monomial, int] = {}
+    right = list(b.terms.items())  # read once: a placement view rebuilds its monomials
     for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+        for m2, c2 in right:
             m = m1 * m2
             out[m] = out.get(m, 0) + c1 * c2
     return Series(a.degree + b.degree, a.trunc, out)
@@ -365,18 +387,19 @@ def _key(m: Monomial) -> tuple:
     pairs = m.pairs
     e0 = pairs[0][1] if pairs and pairs[0][0] == 0 else 0
     einf = pairs[-1][1] if pairs and pairs[-1][0] == INF else 0
-    return (e0, tuple(e for i, e in pairs if i != 0 and i != INF), einf)
+    return (e0, tuple([e for _, e in pairs[e0 > 0:len(pairs) - (einf > 0)]]), einf)
 
 
 def _coordinates(series: Series) -> Optional[Mapping[tuple, int]]:
     """The series' M-coordinates, or None when it is not quasisymmetric.
 
     The one place where quasisymmetry is tested; :func:`relabel_check`
-    only reports the answer.  The terms are grouped by coordinate, and
+    only reports the answer.  A series born from coordinates has them
+    already.  Any other series has its terms grouped by coordinate, and
     each group must hold all C(V, len(word)) placements with one shared
     coefficient.  Found coordinates are kept on the series; a series
-    without them is read again on every call, which costs less than the
-    convolution it gets.
+    without them is read again on every call, which costs about as much
+    as the monomial operation that follows.
     """
     if series._coords is None:
         coords: dict[tuple, int] = {}
@@ -418,26 +441,77 @@ def _expand(degree: int, trunc: int, coords: Mapping[tuple, int]) -> Series:
 
     Every key must have the given degree and a nonzero coefficient.  A
     word longer than V has no placement on 1..V, so its key is dropped.
-    The monomials share their (index, exponent) pairs: each pair is one
-    tuple from a per-call table, which halves the memory of the terms.
+    The series keeps the other keys and no monomial: its ``terms`` is a
+    :class:`_Placements` view over them.
     """
-    kept: dict[tuple, int] = {}
-    terms: dict[Monomial, int] = {}
-    naturals = range(1, trunc + 1)
-    trusted = Monomial._trusted
-    # cells[e] holds (i, e) for i = 0, 1, ..., V and then (INF, e)
-    cells = [[*((i, e) for i in range(trunc + 1)), (INF, e)] for e in range(degree + 1)]
-    for key, c in coords.items():
-        e0, word, einf = key
-        if len(word) > trunc:
-            continue
-        kept[key] = c
-        head = (cells[e0][0],) if e0 else ()
-        tail = (cells[einf][-1],) if einf else ()
-        columns = [cells[e] for e in word]
-        for placement in itertools.combinations(naturals, len(word)):
-            terms[trusted((*head, *map(list.__getitem__, columns, placement), *tail), degree)] = c
-    return Series._trusted(degree, trunc, terms, MappingProxyType(kept))
+    kept = MappingProxyType({key: c for key, c in coords.items() if len(key[1]) <= trunc})
+    return Series._trusted(degree, trunc, _Placements(degree, trunc, kept), kept)
+
+
+class _Placements(Mapping):
+    """The monomials of M-coordinates at truncation V, placed on demand.
+
+    A read-only mapping from monomials to coefficients that stores none:
+    its length is the number of placements, counted once; a lookup reads
+    the monomial's coordinate; iteration places each word on increasing
+    naturals 1..V, key by key in table order.  Every word must fit in V.
+    The monomials of one iteration share their (index, exponent) pairs:
+    each pair is one tuple from a per-iteration table, which halves the
+    memory of a copy of the terms.
+    """
+
+    __slots__ = ("_degree", "_trunc", "_coords", "_len")
+
+    def __init__(self, degree: int, trunc: int, coords: Mapping[tuple, int]):
+        self._degree = degree
+        self._trunc = trunc
+        self._coords = coords
+        self._len = sum(math.comb(trunc, len(word)) for _, word, _ in coords)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def get(self, m, default=None):
+        if isinstance(m, Monomial) and m.degree == self._degree and m.max_natural() <= self._trunc:
+            return self._coords.get(_key(m), default)
+        return default
+
+    def __getitem__(self, m) -> int:
+        c = self.get(m)
+        if c is None:
+            raise KeyError(m)
+        return c
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return (m for m, _ in self._placements())
+
+    def items(self) -> ItemsView:
+        return _PlacementItems(self)
+
+    def copy(self) -> dict[Monomial, int]:
+        # a plain dict of the terms, as ``copy`` of a dict-backed ``terms`` gives
+        return dict(self._placements())
+
+    def _placements(self) -> Iterator[tuple[Monomial, int]]:
+        degree = self._degree
+        naturals = range(1, self._trunc + 1)
+        trusted = Monomial._trusted
+        # cells[e] holds (i, e) for i = 0, 1, ..., V and then (INF, e)
+        cells = [[*((i, e) for i in range(self._trunc + 1)), (INF, e)] for e in range(degree + 1)]
+        for (e0, word, einf), c in self._coords.items():
+            head = (cells[e0][0],) if e0 else ()
+            tail = (cells[einf][-1],) if einf else ()
+            columns = [cells[e] for e in word]
+            for placement in itertools.combinations(naturals, len(word)):
+                yield trusted((*head, *map(list.__getitem__, columns, placement), *tail), degree), c
+
+
+class _PlacementItems(ItemsView):
+    # (monomial, coefficient) pairs in one pass, without a lookup per monomial
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[Monomial, int]]:
+        return self._mapping._placements()
 
 
 def relabel_check(series: Series) -> bool:

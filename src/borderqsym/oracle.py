@@ -15,8 +15,9 @@ coefficient; L members and their products satisfy it, which is what
 makes the elimination in the basis module terminate at zero.  Relations
 and resolutions depend only on a monomial's equality pattern, and the
 coefficient of a quasisymmetric series only on the monomial's bordered
-M-coordinate, so such a series is checked on one representative per
-pattern (2^(n+1) - 1 of them) instead of on every monomial of the slice.
+M-coordinate, so such a series is checked on its 2^(n+1) - 1 equality
+patterns, reading each coefficient from the pattern's coordinate,
+instead of on every monomial of the slice.
 The case-rule coefficient function recomputes degree-1 K product
 coefficients per variable, without ever multiplying series.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     INF,
@@ -35,12 +36,10 @@ from .core import (
     Series,
     TruncationError,
     _coordinates,
-    _key,
     all_monomials,
     is_border,
-    is_natural,
 )
-from .families import SubsetSpec, equality_pattern, pattern_representative
+from .families import SubsetSpec, _pattern_key, equality_pattern, pattern_representative
 
 
 class RelationKind(Enum):
@@ -63,21 +62,27 @@ class ProblematicRelation:
     position: int
 
 
+def _relations(flags: Sequence[bool]) -> list[tuple[RelationKind, int]]:
+    # The relations of every monomial with these equality flags g_i = g_{i+1}
+    # (i = 0..n), by position: a lone x0 or xinf is a border block of size
+    # 2, an interior square a middle block of size 2.
+    n = len(flags) - 1
+    if n == 0:
+        return []
+    out = []
+    if flags[0] and not flags[1]:
+        out.append((RelationKind.BORDER_ZERO, 0))
+    for p in range(1, n):
+        if flags[p] and not flags[p - 1] and not flags[p + 1]:
+            out.append((RelationKind.INTERIOR_SQUARE, p))
+    if flags[n] and not flags[n - 1]:
+        out.append((RelationKind.BORDER_INF, n))
+    return out
+
+
 def problematic_relations(m: Monomial) -> tuple[ProblematicRelation, ...]:
     """All problematic relations of m, ordered by position; empty iff special."""
-    t: tuple[Index, ...] = (0, *m.indices(), INF)
-    n = m.degree
-    out = []
-    if m.exponent(0) == 1:
-        out.append(ProblematicRelation(RelationKind.BORDER_ZERO, 0))
-    for i, e in m.pairs:
-        if is_natural(i) and e == 2:
-            # both neighbors differ automatically: only two copies of i exist
-            position = t.index(i)
-            out.append(ProblematicRelation(RelationKind.INTERIOR_SQUARE, position))
-    if m.exponent(INF) == 1:
-        out.append(ProblematicRelation(RelationKind.BORDER_INF, n))
-    return tuple(sorted(out, key=lambda r: r.position))
+    return tuple(ProblematicRelation(kind, p) for kind, p in _relations(equality_pattern(m)))
 
 
 def resolve(m: Monomial, relation: ProblematicRelation, trunc: int) -> Monomial:
@@ -116,34 +121,35 @@ def check_spreading(f: Series) -> bool:
     support counts as coefficient zero.  Needs trunc >= degree + 1 so
     that a resolution can always spend one fresh natural value.
 
-    A quasisymmetric f is swept by equality pattern instead: one
-    representative per pattern, every coefficient read from its
-    M-coordinate.  That is exact because a monomial's relations and
-    resolutions depend only on its pattern, and its coefficient only on
-    its coordinate; with V >= degree + 1 every coordinate has a
+    A quasisymmetric f is swept by equality pattern instead, without
+    building a monomial: the relations come from the pattern's flags, a
+    resolution clears one flag, and every coefficient is read from the
+    pattern's M-coordinate.  That is exact because a monomial's relations
+    and resolutions depend only on its pattern, and its coefficient only
+    on its coordinate; with V >= degree + 1 every coordinate has a
     placement, so none reads as zero by mistake.
     """
     if f.trunc < f.degree + 1:
         raise TruncationError(f"need trunc >= degree + 1 = {f.degree + 1}, got {f.trunc}")
     coords = _coordinates(f)
     if coords is None:
-        monomials: Iterable[Monomial] = all_monomials(f.degree, f.trunc)
-        coefficient = f.coefficient
+        # a resolution is the minimal representative of its pattern
+        cases = ((equality_pattern(m), f.coefficient(m)) for m in all_monomials(f.degree, f.trunc))
+
+        def resolved(flags: tuple[bool, ...]) -> int:
+            return f.coefficient(pattern_representative(flags))
+
     else:
+        # the all-equal pattern has no coordinate and no relation
         patterns = itertools.product((False, True), repeat=f.degree + 1)
-        # pattern_representative gives None for the all-equal pattern only
-        monomials = filter(None, map(pattern_representative, patterns))
+        cases = ((flags, coords.get(_pattern_key(flags), 0)) for flags in patterns)
 
-        def coefficient(m: Monomial) -> int:
-            return coords.get(_key(m), 0)
+        def resolved(flags: tuple[bool, ...]) -> int:
+            return coords.get(_pattern_key(flags), 0)
 
-    for m in monomials:
-        relations = problematic_relations(m)
-        if not relations:
-            continue
-        c = coefficient(m)
-        for relation in relations:
-            if 2 * c != coefficient(resolve(m, relation, f.trunc)):
+    for flags, c in cases:
+        for _, p in _relations(flags):
+            if 2 * c != resolved((*flags[:p], False, *flags[p + 1:])):
                 return False
     return True
 

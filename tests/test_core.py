@@ -1,5 +1,6 @@
 """Core arithmetic: monomials, series, text encoding, quasisymmetry."""
 
+import itertools
 import math
 
 import pytest
@@ -174,6 +175,22 @@ def test_all_monomials_counts():
     for d, v in [(0, 1), (2, 2), (3, 2), (4, 3)]:
         assert len(list(all_monomials(d, v))) == math.comb(v + 1 + d, d)
     assert len(set(all_monomials(3, 2))) == math.comb(6, 3)
+
+
+def test_max_natural():
+    assert mono("x0*x3^2*x5*xinf").max_natural() == 5
+    assert mono("x2^3").max_natural() == 2
+    assert mono("x0^2*xinf").max_natural() == 0
+    assert Monomial().max_natural() == 0
+
+
+def test_all_monomials_match_their_index_tuples():
+    for d in range(6):
+        for v in range(1, 5):
+            tuples = itertools.combinations_with_replacement(alphabet(v), d)
+            expected = [Monomial.from_indices(g) for g in tuples]
+            out = list(all_monomials(d, v))
+            assert [(m.pairs, m.degree) for m in out] == [(m.pairs, m.degree) for m in expected]
 
 
 def test_alphabet_order():

@@ -12,6 +12,12 @@ also pins the errors of out-of-span targets, checks that family products
 never reach the library's own convolution and that decomposing and
 reconstructing build no member at V, and that every library cache is
 bounded.
+
+A series born from coordinates keeps no monomials: its ``terms`` places
+them on demand.  The eager expansion that used to build them is kept
+here as a fourth reference; the view must list the same monomials in the
+same order, and every operation on such a series must answer as it does
+on a copy built from its monomials.
 """
 
 import itertools
@@ -30,6 +36,7 @@ from borderqsym import (
     Series,
     SubsetSpec,
     all_subsets,
+    all_monomials,
     alphabet,
     decompose_k,
     decompose_l,
@@ -39,7 +46,7 @@ from borderqsym import (
     reconstruct,
     relabel_check,
 )
-from borderqsym import basis, cli, core
+from borderqsym import basis, cli, core, families
 from conftest import mono, spec
 
 BASES = {"K": 2, "L": 2, "K3": 3, "K-2": -2}
@@ -357,3 +364,175 @@ def test_library_caches_are_bounded():
     assert len(caches) >= 3
     for name, fn in caches.items():
         assert fn.cache_parameters()["maxsize"] is not None, f"{name} is unbounded"
+
+
+def reference_expand(degree, trunc, coords):
+    """The eager expansion: every placement of every word that fits, key by key."""
+    terms = {}
+    naturals = range(1, trunc + 1)
+    trusted = Monomial._trusted
+    # cells[e] holds (i, e) for i = 0, 1, ..., V and then (INF, e)
+    cells = [[*((i, e) for i in range(trunc + 1)), (INF, e)] for e in range(degree + 1)]
+    for key, c in coords.items():
+        e0, word, einf = key
+        if len(word) > trunc:
+            continue
+        head = (cells[e0][0],) if e0 else ()
+        tail = (cells[einf][-1],) if einf else ()
+        columns = [cells[e] for e in word]
+        for placement in itertools.combinations(naturals, len(word)):
+            terms[trusted((*head, *map(list.__getitem__, columns, placement), *tail), degree)] = c
+    return terms
+
+
+def check_view(series, coords):
+    """The series' terms against the eager expansion of these coordinates."""
+    terms = series.terms
+    expected = reference_expand(series.degree, series.trunc, coords)
+    assert list(terms.items()) == list(expected.items())
+    assert len(terms) == len(expected)
+    assert all(m in terms and terms.get(m) == c for m, c in expected.items())
+    assert terms == expected
+
+
+def dict_born(series):
+    """A copy that keeps its monomials, as any series not born from coordinates."""
+    return Series(series.degree, series.trunc, dict(series.terms.items()))
+
+
+class TestTermsView:
+    def test_members_match_the_eager_expansion(self):
+        # V = d - 1 drops the keys whose word does not fit.  At degree 6,
+        # K_3 and K_-2 would repeat the keys of K with other coefficients,
+        # which the view passes through; they are left out to save time.
+        for kind, q in BASES.items():
+            for n in range(7 if kind in "KL" else 6):
+                for s in all_subsets(n):
+                    coords = families._pattern_coords(kind[0], s, q)
+                    for trunc in sorted({max(n - 1, 1), max(n, 1), n + 1}):
+                        series = member(kind, s, trunc)
+                        assert type(series.terms) is core._Placements
+                        check_view(series, coords)
+
+    def test_products_match_the_eager_expansion(self):
+        # every product to degree 4; every 16th pair at degree 5 and every
+        # 128th at degree 6, which keeps the file within seconds
+        nonconstant = [(kind, s) for kind, s in factors(5) if s.n]
+        seen = set()
+        for i, (ka, a) in enumerate(nonconstant):
+            for j, (kb, b) in enumerate(nonconstant[i:]):
+                d = a.n + b.n
+                if d > 6 or j % {5: 16, 6: 128}.get(d, 1):
+                    continue
+                for trunc in (d, d + 1):
+                    product = member(ka, a, trunc) * member(kb, b, trunc)
+                    coords = core._coordinates(product)
+                    if (d, trunc, tuple(coords.items())) in seen:
+                        continue
+                    seen.add((d, trunc, tuple(coords.items())))
+                    check_view(product, coords)
+                    if d <= 3:
+                        # absent monomials too, x_{V+1} included
+                        assert {m: product.terms.get(m) for m in all_monomials(d, trunc + 1)} == {
+                            m: coords.get(core._key(m)) if m.max_natural() <= trunc else None
+                            for m in all_monomials(d, trunc + 1)
+                        }
+        assert len(seen) > 500
+
+    def test_lookups_outside_the_slice(self):
+        series = k_series(spec(2, 1), 3)
+        assert series.coefficient(mono("x1*x2")) == 4
+        # a coordinate the member does not have: x0^2 is an equal triple at 1
+        assert series.coefficient(mono("x0^2")) == 0
+        # the same coordinate, placed beyond V
+        assert series.coefficient(mono("x1*x4")) == 0
+        assert mono("x1*x4") not in series.terms
+        with pytest.raises(KeyError):
+            series.terms[mono("x1*x4")]
+        assert series.terms.get(mono("x1")) is None
+        assert series.terms.get("x1") is None
+        assert "x1" not in series.terms
+
+    def test_equality_on_coordinates(self):
+        series = k_series(spec(2, 1), 3)
+        assert series + series == series.scale(2) != series
+        # the coordinates alone do not fix V
+        assert k_series(spec(2, 1), 3) != k_series(spec(2, 1), 4)
+        assert k_series(spec(0), 1) != k_series(spec(0), 2)
+        border = core._expand(2, 2, {(2, (), 0): 1})
+        assert border.terms == core._expand(2, 3, {(2, (), 0): 1}).terms
+        assert border != core._expand(2, 3, {(2, (), 0): 1})
+
+
+@st.composite
+def small_products(draw):
+    d = draw(st.integers(0, 5))
+    n = draw(st.integers(0, d))
+    trunc = draw(st.integers(max(d - 1, 1), d + 1))
+    kinds = draw(st.sampled_from([("K", "K"), ("K", "L"), ("L", "L"), ("K3", "K3"), ("K-2", "K-2")]))
+    subsets = [draw(st.sets(st.integers(1, k), max_size=k)) if k else set() for k in (n, d - n)]
+    a, b = (member(kind, SubsetSpec(k, frozenset(sub)), trunc) for kind, k, sub in zip(kinds, (n, d - n), subsets))
+    return a * b
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_products(), st.sampled_from([0, 1, -1, 3]))
+def test_coordinate_born_series_answer_like_dict_born_copies(product, c):
+    born = [product, *perturbations(product)]
+    copies = [dict_born(x) for x in born]
+    slice_ = list(all_monomials(product.degree, product.trunc + 1))
+    for x, dx in zip(born, copies):
+        assert str(x) == str(dx)
+        assert x.is_zero() == dx.is_zero()
+        assert [x.coefficient(m) for m in slice_] == [dx.coefficient(m) for m in slice_]
+        assert str(x.scale(c)) == str(dx.scale(c))
+        for trunc in range(1, product.trunc + 1):
+            assert str(x.restrict(trunc)) == str(dx.restrict(trunc))
+        for y, dy in zip(born, copies):
+            assert (x == y) == (dx == dy) == (x == dy) == (dx == y)
+            assert str(x + y) == str(dx + dy) and x + y == dx + dy
+            assert str(x - y) == str(dx - dy) and x - y == dx - dy
+
+
+class TestNoMonomialIsBuilt:
+    def test_coordinate_operations(self, monkeypatch):
+        a, b = k_series(spec(2, 1), 6), l_series(spec(3, 2), 6)
+        expected = reference_product(a, b)
+
+        def refuse(*args):
+            raise AssertionError("monomial built")
+
+        monkeypatch.setattr(Monomial, "_trusted", refuse)
+        product = a * b
+        size = len(product.terms)
+        assert reconstruct(decompose_k(product), 6) == product
+        twice = product + product
+        assert twice == product.scale(2)
+        thrice = product.scale(3)
+        restricted = product.restrict(5)
+        total = Series.zero(2, 6) + a
+        assert total == a
+        monkeypatch.undo()
+        assert size == len(expected)
+        assert packed_terms(product) == expected
+        assert packed_terms(twice) == {g: 2 * c for g, c in expected.items()}
+        assert packed_terms(thrice) == {g: 3 * c for g, c in expected.items()}
+        assert dict(restricted.terms.items()) == {m: c for m, c in product.terms.items() if m.max_natural() <= 5}
+        assert dict(total.terms.items()) == dict(a.terms.items())
+
+    def test_convolution_reads_a_view_once(self, monkeypatch):
+        left = Series(1, 3, {mono("x0"): 2, mono("x1"): 1, mono("x3"): -1})
+        right = k_series(spec(2, 1), 3)
+        expected = reference_product(left, right)
+        reads = []
+        placements = core._Placements._placements
+
+        def counted(view):
+            reads.append(view)
+            return placements(view)
+
+        monkeypatch.setattr(core._Placements, "_placements", counted)
+        product = core._convolve(left, right)
+        assert len(reads) == 1 and reads[0] is right.terms
+        monkeypatch.undo()
+        assert packed_terms(product) == expected

@@ -6,8 +6,10 @@ This file keeps the monomial sweep over the whole truncated slice and
 the ``Fraction`` Gauss-Jordan solver with one equation per monomial as
 references, and requires equal answers on family products, on
 combinations of members, and on perturbed copies that are and are not
-quasisymmetric.  It also pins that the coordinate paths are taken, and
-that an expanded series shares its (index, exponent) pairs.
+quasisymmetric.  It also pins that the coordinate paths are taken and
+build no monomial, that an expanded series shares its (index, exponent)
+pairs, and that the relation rule, now read off equality flags, agrees
+with the rule read off exponents.
 """
 
 import functools
@@ -224,6 +226,19 @@ class TestCoordinatePathsAreTaken:
     def test_quasisymmetric_violation(self, no_slice_sweep):
         assert not check_spreading(Series(2, 3, {mono(t): 1 for t in ("x1^2", "x2^2", "x3^2")}))
 
+    def test_pattern_sweep_builds_no_monomial(self, no_slice_sweep, monkeypatch):
+        product = l_series(spec(4, 2), 8) * l_series(spec(3, 1, 3), 8)
+        violation = Series(2, 3, {mono(t): 1 for t in ("x1^2", "x2^2", "x3^2")})
+
+        def refuse(*args):
+            raise AssertionError("monomial built")
+
+        monkeypatch.setattr(Monomial, "__init__", refuse)
+        monkeypatch.setattr(Monomial, "_trusted", refuse)
+        monkeypatch.setattr(oracle, "resolve", refuse)
+        assert check_spreading(product)
+        assert not check_spreading(violation)
+
     def test_rank_deficient_key_rows(self):
         # a duplicated column leaves a free variable, which stays at zero;
         # the copies solved here show only their coordinates
@@ -250,3 +265,23 @@ def test_expanded_pairs_are_shared():
     for m in k_series(spec(4, 2), 5).terms:
         for pair in m.pairs:
             assert seen.setdefault(pair, pair) is pair
+
+
+def reference_relations(m):
+    """The relation rule read off exponents: a lone border, a natural squared."""
+    t = (0, *m.indices(), INF)
+    out = []
+    if m.exponent(0) == 1:
+        out.append(("border_zero", 0))
+    for i, e in m.pairs:
+        if i != 0 and i != INF and e == 2:
+            out.append(("interior_square", t.index(i)))
+    if m.exponent(INF) == 1:
+        out.append(("border_inf", m.degree))
+    return sorted(out, key=lambda r: r[1])
+
+
+def test_relations_match_the_exponent_rule():
+    for d in range(7):
+        for m in all_monomials(d, d + 1):
+            assert [(r.kind.value, r.position) for r in problematic_relations(m)] == reference_relations(m)
