@@ -25,8 +25,9 @@ from coordinates (a family member, a product, a reconstruction, a sum)
 keeps only them: its ``terms`` is a read-only mapping view that places
 the words at V when it is iterated or looked up, and stores no monomial.
 Any other series keeps a validated dict of its monomials; its
-coordinates, when it has them, are read once and kept beside it.  The
-monomial convolution runs only when a factor is not quasisymmetric.
+coordinates, or the finding that it has none, are read once and kept
+beside it.  The monomial convolution runs only when a factor is not
+quasisymmetric.
 
 Everything here is immutable after construction, so values can be shared
 freely across threads (a series keeps its M-coordinates once read; they
@@ -242,7 +243,7 @@ class Series:
         self.degree = degree
         self.trunc = trunc
         self.terms = MappingProxyType(clean)
-        self._coords = None  # M-coordinates, once read
+        self._coords = None  # M-coordinates once read; False when there are none
 
     @classmethod
     def _trusted(cls, degree: int, trunc: int, terms: Mapping[Monomial, int], coords: Mapping[tuple, int]) -> "Series":
@@ -397,22 +398,27 @@ def _coordinates(series: Series) -> Optional[Mapping[tuple, int]]:
     only reports the answer.  A series born from coordinates has them
     already.  Any other series has its terms grouped by coordinate, and
     each group must hold all C(V, len(word)) placements with one shared
-    coefficient.  Found coordinates are kept on the series; a series
-    without them is read again on every call, which costs about as much
-    as the monomial operation that follows.
+    coefficient.  The answer is kept on the series, ``False`` for one
+    without coordinates, so each series is read at most once.
     """
-    if series._coords is None:
-        coords: dict[tuple, int] = {}
-        placements: dict[tuple, int] = {}
-        for m, c in series.terms.items():
-            key = _key(m)
-            if coords.setdefault(key, c) != c:
-                return None
-            placements[key] = placements.get(key, 0) + 1
-        if any(n != math.comb(series.trunc, len(key[1])) for key, n in placements.items()):
-            return None
-        series._coords = MappingProxyType(coords)
-    return series._coords
+    coords = series._coords
+    if coords is None:
+        coords = series._coords = _read_coordinates(series)
+    return None if coords is False else coords
+
+
+def _read_coordinates(series: Series) -> Mapping[tuple, int] | bool:
+    # a dict-born series' terms grouped by coordinate, or False
+    coords: dict[tuple, int] = {}
+    placements: dict[tuple, int] = {}
+    for m, c in series.terms.items():
+        key = _key(m)
+        if coords.setdefault(key, c) != c:
+            return False
+        placements[key] = placements.get(key, 0) + 1
+    if any(n != math.comb(series.trunc, len(key[1])) for key, n in placements.items()):
+        return False
+    return MappingProxyType(coords)
 
 
 @lru_cache(maxsize=_QUASI_SHUFFLE_CACHE)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from borderqsym import (
     l_series,
     relabel_check,
 )
+from borderqsym import core
 from conftest import mono, spec
 
 
@@ -280,3 +282,42 @@ def test_truncation_compatibility():
     big = k_series(spec(1), 4) * k_series(spec(2, 2), 4)
     small = k_series(spec(1), 3) * k_series(spec(2, 2), 3)
     assert big.restrict(3) == small
+
+
+class _CountedTerms(Mapping):
+    """A series' terms that count the passes over their items."""
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.passes = 0
+
+    def __getitem__(self, m):
+        return self.terms[m]
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+    def items(self):
+        self.passes += 1
+        return self.terms.items()
+
+    def copy(self):
+        return dict(self.terms)
+
+    def __eq__(self, other):
+        return self.terms == other
+
+
+def test_a_series_without_coordinates_is_read_once():
+    series = Series(2, 3, {mono("x1*x2"): 1, mono("x0*xinf"): 2})
+    other = Series(2, 3, {mono("x1^2"): 1})
+    counted = series.terms = _CountedTerms(series.terms)
+    for _ in range(3):
+        assert core._coordinates(series) is None
+        assert not relabel_check(series)
+        assert series == series and series != other
+        assert (series + other).coefficient(mono("x1^2")) == 1
+    assert counted.passes == 1

@@ -13,6 +13,11 @@ never reach the library's own convolution and that decomposing and
 reconstructing build no member at V, and that every library cache is
 bounded.
 
+``decompose_l`` runs a Möbius transform and emulates the walk on it; the
+walk it replaced, on M-coordinates against whole V-free L members, is
+kept here as a fifth reference, which every decomposition must match in
+coefficients, their order and every error field, for any subset order.
+
 A series born from coordinates keeps no monomials: its ``terms`` places
 them on demand.  The eager expansion that used to build them is kept
 here as a fourth reference; the view must list the same monomials in the
@@ -22,6 +27,7 @@ on a copy built from its monomials.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +41,7 @@ from borderqsym import (
     NotDivisibleError,
     Series,
     SubsetSpec,
+    TruncationError,
     all_subsets,
     all_monomials,
     alphabet,
@@ -101,6 +108,51 @@ def reference_walk(target):
         w = min(left, key=lambda m: (m.degree, m.indices()))
         return ("residual", w, left[w])
     return ("ok", coeffs)
+
+
+def reference_coordinate_walk(target, subset_order=None):
+    """The L walk on M-coordinates, subset by subset: a Decomposition, or the walk's error.
+
+    Reads the residual at the key of the subset's forced pattern, checks
+    it is divisible by 2^(middle blocks), and subtracts that multiple of
+    the whole V-free L member from the residual.  The library's
+    decomposition must answer exactly as this does, for any valid order.
+    """
+    d = target.degree
+    if target.trunc < d:
+        raise TruncationError(f"need trunc >= degree {d}, got {target.trunc}")
+    order = list(all_subsets(d)) if subset_order is None else list(subset_order)
+    coords = core._coordinates(target)
+    if coords is None:
+        residual = {core._key(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
+    else:
+        residual = dict(coords)
+    coeffs = {}
+    for s in order:
+        generic = families._pattern_key(families._forced_equalities(s))
+        if generic is None:
+            continue
+        c = residual.get(generic, 0)
+        if c == 0:
+            continue
+        divisor = 2 ** len(generic[1])
+        if c % divisor:
+            raise NotDivisibleError(s, families._representative(generic), c, divisor)
+        k = c // divisor
+        for key, lc in families._pattern_coords("L", s, 2).items():
+            value = residual.get(key, 0) - k * lc
+            if value:
+                residual[key] = value
+            else:
+                residual.pop(key, None)
+        coeffs[s] = k
+    found = basis.Decomposition(d, "L", coeffs)
+    if residual or coords is None:
+        left = target - reconstruct(found, target.trunc)
+        if not left.is_zero():
+            witness, c = min(left.terms.items(), key=lambda mc: mc[0].sort_key())
+            raise NonzeroResidualError(witness, c)
+    return found
 
 
 def reference_relabel(series):
@@ -536,3 +588,135 @@ class TestNoMonomialIsBuilt:
         assert len(reads) == 1 and reads[0] is right.terms
         monkeypatch.undo()
         assert packed_terms(product) == expected
+
+
+def walk_outcome(decompose, target, *order):
+    """The coefficients in insertion order, or the error's type and every field."""
+    try:
+        dec = decompose(target, *order)
+    except NotDivisibleError as err:
+        return ("not divisible", err.spec, err.monomial, err.coefficient, err.divisor, str(err))
+    except NonzeroResidualError as err:
+        return ("residual", err.witness, err.coefficient, str(err))
+    except TruncationError as err:
+        return ("truncation", str(err))
+    return ("ok", list(dec.coeffs.items()))
+
+
+def check_coordinate_walk(target, *order):
+    """decompose_l against the coordinate walk, and decompose_k against its K expansion."""
+    expected = walk_outcome(reference_coordinate_walk, target, *order)
+    assert walk_outcome(decompose_l, target, *order) == expected
+    if expected[0] == "ok" and not order:
+        assert decompose_k(target).coeffs == in_k_basis(dict(expected[1]))
+    return expected
+
+
+KIND_PAIRS = [("K", "K"), ("K", "L"), ("L", "L"), ("K3", "K3"), ("K-2", "K-2")]
+
+
+def kind_products(degree, every=1):
+    """Every product (or every n-th) of two members of total degree d at V = d, for each pair of kinds."""
+    trunc = max(degree, 1)
+    pairs = ((ka, left, kb, right)
+             for a in range(degree + 1) for left in all_subsets(a) for right in all_subsets(degree - a)
+             for ka, kb in KIND_PAIRS)
+    for ka, left, kb, right in itertools.islice(pairs, None, None, every):
+        yield member(ka, left, trunc) * member(kb, right, trunc)
+
+
+class TestCoordinateWalkParity:
+    def test_every_product_to_degree_6_and_every_7th_at_7(self):
+        outcomes = set()
+        for degree, every in [*((d, 1) for d in range(7)), (7, 7)]:
+            for product in kind_products(degree, every):
+                outcomes.add(check_coordinate_walk(product)[0])
+        assert outcomes == {"ok", "not divisible", "residual"}
+
+    def test_shuffled_orders_to_degree_5(self):
+        rng = random.Random(7)
+        for degree in range(6):
+            for product in kind_products(degree, 3):
+                order = sorted(all_subsets(degree), key=lambda s: (len(s.members), rng.random()))
+                check_coordinate_walk(product, order)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_dense_pairs(self, n):
+        product = k_series(spec(n), 2 * n) * k_series(spec(n, 1), 2 * n)
+        assert check_coordinate_walk(product)[0] == "ok"
+
+
+def compositions(total):
+    """Every word of positive letters summing to total."""
+    if total == 0:
+        return [()]
+    return [(head, *rest) for head in range(1, total + 1) for rest in compositions(total - head)]
+
+
+@st.composite
+def perturbed_products(draw):
+    """A product of degree <= 7 with one monomial, or one M-coordinate's placements, added."""
+    a, b = draw(products())
+    product = a * b
+    d, trunc = product.degree, product.trunc
+    c = draw(st.sampled_from([1, 2, 3, -2]))
+    if draw(st.booleans()):
+        g = draw(st.lists(st.sampled_from(alphabet(trunc)), min_size=d, max_size=d))
+        return product + Series(d, trunc, {Monomial.from_indices(sorted(g)): c})
+    e0 = draw(st.integers(0, d))
+    einf = draw(st.integers(0, d - e0))
+    word = draw(st.sampled_from(compositions(d - e0 - einf)))
+    return product + c * core._expand(d, trunc, {(e0, word, einf): 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_series(), perturbed_products()))
+def test_random_targets_match_the_coordinate_walk(target):
+    check_coordinate_walk(target)
+
+
+class TestWalkEmulationPins:
+    def test_not_divisible_after_earlier_subtractions(self):
+        # x1^3 has coordinate 3 in the target; L_{} takes 2 of it first
+        target = k_series(spec(3), 3) + core._expand(3, 3, {(0, (3,), 0): 1})
+        assert core._coordinates(target)[(0, (3,), 0)] == 3
+        with pytest.raises(NotDivisibleError) as err:
+            decompose_l(target)
+        e = err.value
+        assert (e.spec, e.monomial, e.coefficient, e.divisor) == (spec(3, 2), mono("x1^3"), 1, 2)
+        assert str(e) == "coefficient 1 of x1^3 not divisible by 2 while processing SubsetSpec(3, {2})"
+        assert check_coordinate_walk(target)[0] == "not divisible"
+
+    def test_residual_left_off_the_forced_masks(self):
+        # every coefficient is divisible, but the Möbius transform is
+        # nonzero at the mask of x1^2, which no subset forces
+        target = Series(2, 2, {mono("x1^2"): 2, mono("x2^2"): 2})
+        with pytest.raises(NonzeroResidualError) as err:
+            decompose_l(target)
+        assert (err.value.witness, err.value.coefficient) == (mono("x1^2"), 2)
+        assert check_coordinate_walk(target)[0] == "residual"
+
+    def test_remainder_left_off_the_forced_masks(self):
+        # g vanishes, but x1^2 leaves 1 mod 2 at a mask no subset forces
+        target = Series(2, 2, {mono("x1^2"): 1, mono("x2^2"): 1})
+        with pytest.raises(NonzeroResidualError) as err:
+            decompose_l(target)
+        assert (err.value.witness, err.value.coefficient) == (mono("x1^2"), 1)
+        assert check_coordinate_walk(target)[0] == "residual"
+
+    def test_warm_decomposition_builds_no_degree_data(self, monkeypatch):
+        products = [member(kind, spec(3, 1), 7) * member(kind, spec(4, 2, 3), 7) for kind in ("K", "L")]
+        expected = [(decompose_l(p).coeffs, decompose_k(p).coeffs) for p in products]
+
+        def refuse(*args):
+            raise AssertionError("degree data rebuilt")
+
+        monkeypatch.setattr(SubsetSpec, "__post_init__", refuse)
+        for module in (families, basis):
+            for name in ("_forced_equalities", "_pattern_coords"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert [(decompose_l(p).coeffs, decompose_k(p).coeffs) for p in products] == expected
+
+    def test_mask_tables_are_a_bounded_cache(self):
+        assert basis._mask_table.cache_parameters()["maxsize"] is not None
