@@ -15,19 +15,21 @@ coordinates; any other through its smallest placements (naturals
 exactly 1..k), keyed by coordinate, which are the only monomials the
 walk reads, since generic monomials are smallest placements.  A degree-d
 coordinate is one of the 2^(d+1) - 1 equality masks of a padded tuple
-(bit j says g_j = g_{j+1}; the all-ones mask has no key), and the L
-member of a subset carries 2^mid(E) at every mask E containing the
-subset's forced mask F, where mid(E) counts E's middle blocks.  So the
-target's coefficient at E, split as 2^mid(E) q(E) + r(E), gives the walk
-everything it reads once q is Möbius-transformed over masks into g
-(Rota 1964): the residual at F is 2^mid(F) times the sum of g over the
-masks inside F, plus r(F), and subtracting k times the member lowers
-g(F) by k and changes nothing else.  The coefficients, their order and
-every error field are therefore the walk's, for any subset order.  The
-degree-only data (keys, block counts, subsets, forced masks) is built
-once per degree.  The witness of a nonzero residual is the smallest
-monomial of the target minus the reconstruction of what was found; a
-target that is not quasisymmetric always leaves one.
+(the families module's encoding: bit j says g_j = g_{j+1}; the all-ones
+mask has no key), and the L member of a subset carries 2^mid(E) at every
+mask E containing the subset's forced mask F, where mid(E) counts E's
+middle blocks.  So the target's coefficient at E, split as
+2^mid(E) q(E) + r(E), gives the walk everything it reads once q is
+Möbius-transformed over masks into g (Rota 1964): the residual at F is
+2^mid(F) times the sum of g over the masks inside F, plus r(F), and
+subtracting k times the member lowers g(F) by k and changes nothing
+else.  The coefficients, their order and every error field are
+therefore the walk's, for any subset order.  The degree-only data
+(block counts, subsets, forced masks, and the keys, which the families
+module builds and caches) is built once per degree.  The witness of a
+nonzero residual is the smallest monomial of the target minus the
+reconstruction of what was found; a target that is not quasisymmetric
+always leaves one.
 :func:`decompose_k` turns the L coefficients into K coefficients by one
 signed superset sum over subset bitmasks, and :func:`reconstruct` sums
 member coordinates and expands once.
@@ -54,12 +56,7 @@ from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Monomial, Series, TruncationError, _coordinates, _expand, _key
-from .families import (
-    SubsetSpec,
-    _pattern_coords,
-    _pattern_key,
-    _representative,
-)
+from .families import SubsetSpec, _bits, _forced, _mask_keys, _pattern_coords, _representative
 
 
 class NotDivisibleError(ArithmeticError):
@@ -109,6 +106,16 @@ class Decomposition:
             if not isinstance(c, int) or c == 0:
                 raise ValueError(f"coefficient of {spec!r} must be a nonzero integer, got {c!r}")
 
+    @classmethod
+    def _trusted(cls, degree: int, basis: str, coeffs: dict[SubsetSpec, int]) -> "Decomposition":
+        # For coefficients that are valid by construction: degree-matching
+        # specs and nonzero integers.
+        dec = object.__new__(cls)
+        dec.degree = degree
+        dec.basis = basis
+        dec.coeffs = coeffs
+        return dec
+
     def sorted_items(self) -> list[tuple[SubsetSpec, int]]:
         return sorted(self.coeffs.items(), key=lambda sc: sc[0].size_lex_key())
 
@@ -149,9 +156,10 @@ def l_from_k(spec: SubsetSpec) -> Decomposition:
     return Decomposition(spec.n, "K", {SubsetSpec(spec.n, sub): sign for sub, sign in _signed_subsets(spec)})
 
 
-# Entries of the mask table cache, one per degree.  A table holds 2^(d+1)
-# keys, 5 MB at degree 12 (the command line's largest decomposition) and
-# 22 MB at degree 14; the benchmark decomposes at degrees 0 to 7.
+# Entries of the mask table cache, one per degree.  A table holds 2^d
+# subsets and 2^(d+1) keys, which are the families module's cached tuple:
+# 5.7 MB in all at degree 12 (the command line's largest decomposition)
+# and 23 MB at 14; the benchmark decomposes at degrees 0 to 7.
 _MASK_TABLE_CACHE = 16
 
 
@@ -169,18 +177,9 @@ class _MaskTable(NamedTuple):
     specs: tuple       # subset bitmask -> SubsetSpec
 
 
-def _bits(members: Iterable[int]) -> int:
-    return sum(1 << (i - 1) for i in members)
-
-
-def _forced(bits: int) -> int:
-    # a member i forces the flags i - 1 and i
-    return bits | bits << 1
-
-
 @lru_cache(maxsize=_MASK_TABLE_CACHE)
 def _mask_table(d: int) -> _MaskTable:
-    keys = tuple(_pattern_key([mask >> j & 1 == 1 for j in range(d + 1)]) for mask in range(1 << (d + 1)))
+    keys = _mask_keys(d)
     specs = tuple(
         SubsetSpec(d, frozenset(i for i in range(1, d + 1) if bits >> (i - 1) & 1)) for bits in range(1 << d)
     )
@@ -283,7 +282,7 @@ def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = N
                 left[forced] = v
             else:
                 del left[forced]
-    found = Decomposition(d, "L", coeffs)
+    found = Decomposition._trusted(d, "L", coeffs)
     if left or rem or coords is None:
         rest = target - reconstruct(found, target.trunc)
         rest_coords = _coordinates(rest)
@@ -303,13 +302,13 @@ def decompose_k(target: Series) -> Decomposition:
     the supersets of T: one superset sum over subset bitmasks, d passes.
     """
     d = target.degree
-    specs = _mask_table(d).specs
     by_l = decompose_l(target).coeffs
+    specs = _mask_table(d).specs
     sums = [0] * len(specs)
     for spec, c in by_l.items():
         sums[_bits(spec.members)] = c
     _subset_passes(sums, d, mobius=False)
-    return Decomposition(d, "K", {
+    return Decomposition._trusted(d, "K", {
         specs[bits]: -c if bits.bit_count() & 1 else c for bits, c in enumerate(sums) if c
     })
 

@@ -6,7 +6,9 @@ sorted term list; ``--json`` switches to canonical JSON (stable key
 order, so parsing and re-serializing is byte-identical).  Exit codes:
 0 success, 1 domain error or bad flags, 2 internal invariant violation.
 A request whose monomial slice C(V + d + 1, d) at output degree d
-exceeds 10^7 is refused up front with exit 1.
+exceeds 10^7 is refused up front with exit 1, and so is one that would
+build a member of degree n with more than 10^7 equality patterns,
+2^(n + 1), whatever V is.
 Set BORDERQSYM_VERBOSE=1 for progress detail on stderr.
 """
 
@@ -65,6 +67,15 @@ def _check_size(degree: int, trunc: int) -> None:
         )
 
 
+def _check_members(*degrees: int) -> None:
+    # building a member enumerates all its equality patterns, at any V
+    for n in degrees:
+        if 2 << n > _SLICE_LIMIT:
+            raise ValueError(
+                f"a degree-{n} member has {2 << n} equality patterns, above the limit of {_SLICE_LIMIT}"
+            )
+
+
 class _UsageError(Exception):
     pass
 
@@ -112,6 +123,7 @@ def _cmd_kseries(args) -> int:
     spec = SubsetSpec.parse(args.n, args.set)
     trunc = args.vars if args.vars is not None else max(args.n, 1)
     _check_size(args.n, trunc)
+    _check_members(args.n)
     _emit_series(k_series_q(spec, trunc, args.q), args.json)
     return 0
 
@@ -120,6 +132,7 @@ def _cmd_lseries(args) -> int:
     spec = SubsetSpec.parse(args.n, args.set)
     trunc = args.vars if args.vars is not None else max(args.n, 1)
     _check_size(args.n, trunc)
+    _check_members(args.n)
     _emit_series(l_series(spec, trunc), args.json)
     return 0
 
@@ -129,6 +142,7 @@ def _product(args, extra_vars: int = 0) -> Series:
     kind_r, spec_r = parse_factor(args.right)
     trunc = args.vars if args.vars is not None else max(spec_l.n + spec_r.n + extra_vars, 1)
     _check_size(spec_l.n + spec_r.n, trunc)
+    _check_members(spec_l.n, spec_r.n)
     return _factor_series(kind_l, spec_l, trunc) * _factor_series(kind_r, spec_r, trunc)
 
 

@@ -10,15 +10,19 @@ Each kept tuple contributes its monomial weighted by 2 raised to the
 number of distinct natural indices it uses (an arbitrary nonzero base q
 replaces the 2 in :func:`k_series_q`).
 
-A padded tuple is fixed by its equality pattern (the n + 1 flags
-g_i = g_{i+1}) and one increasing natural per middle block.  The triple
-test and the weight depend only on the pattern, and the pattern's block
-sizes are a bordered M-coordinate (e0, word, e_inf) of the core module,
-so each member is first built V-free, as the map from its kept patterns'
+A padded tuple is fixed by its equality pattern and one increasing
+natural per middle block.  The pattern is an int bitmask, the one
+encoding of the library: bit i is the flag g_i = g_{i+1}, i = 0..n.  A
+selected position i is inside an equal triple exactly when bits i - 1
+and i are both set, so K keeps a mask E iff E & E >> 1 has no member's
+bit, and L keeps E iff E contains the subset's forced mask.  The weight
+depends only on the mask, and the mask's runs of 1-bits give its block
+sizes, a bordered M-coordinate (e0, word, e_inf) of the core module.  So
+each member is first built V-free, as the map from its kept masks'
 coordinates to q^(number of middle blocks), and then expanded to its
-monomials at V by the core's one placement loop.  Generic monomials and
-the oracle's resolutions go through the same
-:func:`pattern_representative`.
+monomials at V by the core's one placement loop.  Generic monomials,
+the decomposition's mask tables and the oracle's relations and
+resolutions read the same mask rules here.
 
 The generic monomials of an L member are those whose only equalities are
 the forced ones; they drive the decomposition of products back onto the
@@ -31,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import INF, Monomial, Series, TruncationError, _expand, is_natural
 
@@ -39,6 +43,10 @@ from .core import INF, Monomial, Series, TruncationError, _expand, is_natural
 # workload is about 500 members (closure: every K and L member of degree
 # up to 6 at one V per degree), so members are never evicted in use.
 _MEMBER_CACHE = 1024
+
+# Entries of the per-degree mask key cache.  Degree n holds 2^(n+1) keys,
+# which the basis module's mask tables share rather than copy.
+_MASK_KEY_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -90,57 +98,57 @@ def all_subsets(n: int) -> Iterator[SubsetSpec]:
             yield SubsetSpec(n, frozenset(combo))
 
 
-def equality_pattern(m: Monomial) -> tuple[bool, ...]:
-    """The flags g_i = g_{i+1}, i = 0..n, of m's padded nondecreasing tuple."""
+def _mask(m: Monomial) -> int:
+    # Bit i is the flag g_i = g_{i+1} of m's padded nondecreasing tuple.
     g = (0, *m.indices(), INF)
-    return tuple(a == b for a, b in zip(g, g[1:]))
+    return sum(1 << i for i in range(len(g) - 1) if g[i] == g[i + 1])
 
 
-def _pattern_key(pattern: Sequence[bool]) -> Optional[tuple]:
-    # The M-coordinate (e0, word, e_inf) of the pattern's block sizes;
-    # None for the all-equal pattern, which would identify 0 with inf.
-    sizes = [1]
-    for equal in pattern:
-        if equal:
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-    if len(sizes) == 1:
+def _mask_key(mask: int, n: int) -> Optional[tuple]:
+    # The M-coordinate (e0, word, e_inf) of a degree-n mask: a run of k
+    # 1-bits joins k + 1 positions into one block; the bit above n keeps
+    # the high zero bits in the string, which lists bit 0 first.  None for
+    # the all-ones mask, which would identify 0 with inf.
+    runs = bin(mask | 2 << n)[:2:-1].split("0")
+    if len(runs) == 1:
         return None
-    return (sizes[0] - 1, tuple(sizes[1:-1]), sizes[-1] - 1)
+    return (len(runs[0]), tuple([len(r) + 1 for r in runs[1:-1]]), len(runs[-1]))
 
 
-def _representative(key: tuple, naturals: Optional[Sequence[int]] = None) -> Monomial:
-    # The monomial placing the key's word on ``naturals`` (default 1, 2, 3, ...).
+@lru_cache(maxsize=_MASK_KEY_CACHE)
+def _mask_keys(n: int) -> tuple:
+    return tuple(_mask_key(mask, n) for mask in range(2 << n))
+
+
+def _bits(members: Iterable[int]) -> int:
+    # bit i - 1 is the member i
+    return sum(1 << (i - 1) for i in members)
+
+
+def _forced(bits: int) -> int:
+    # a member i forces the flags i - 1 and i
+    return bits | bits << 1
+
+
+def _representative(key: tuple) -> Monomial:
+    # The monomial placing the key's word on the naturals 1, 2, 3, ...
     e0, word, einf = key
-    if naturals is None:
-        naturals = range(1, len(word) + 1)
-    return Monomial(zip((0, *naturals, INF), (e0, *word, einf), strict=True))
-
-
-def pattern_representative(
-    pattern: Sequence[bool], naturals: Optional[Sequence[int]] = None
-) -> Optional[Monomial]:
-    """The monomial with this equality pattern, or None for the all-equal one.
-
-    The first block of positions 0..n+1 takes 0, the last takes inf and
-    the middle blocks take ``naturals`` (default 1, 2, 3, ...).  The
-    all-equal pattern would identify 0 with inf, so no tuple has it.
-    """
-    key = _pattern_key(pattern)
-    return None if key is None else _representative(key, naturals)
+    return Monomial(zip((0, *range(1, len(word) + 1), INF), (e0, *word, einf), strict=True))
 
 
 @lru_cache(maxsize=_MEMBER_CACHE)
 def _pattern_coords(kind: str, spec: SubsetSpec, q: int) -> Mapping[tuple, int]:
-    # V-free M-coordinates of a member: the key of each kept pattern with
-    # k middle blocks has coefficient q^k, which every placement carries.
+    # V-free M-coordinates of a member: the key of each kept mask with k
+    # middle blocks has coefficient q^k, which every placement carries.
+    # K keeps a mask with no member's two flags both set, L one with all
+    # of them set; the all-ones mask has no key.
+    n, bits = spec.n, _bits(spec.members)
+    forced = _forced(bits)
     coords = {}
-    for pattern in itertools.product((False, True), repeat=spec.n + 1):
-        triples = [pattern[i - 1] and pattern[i] for i in spec.members]
-        key = _pattern_key(pattern)
-        if key is None or (any(triples) if kind == "K" else not all(triples)):
+    for mask in range((2 << n) - 1):
+        if (mask & mask >> 1 & bits) if kind == "K" else (mask & forced != forced):
             continue
+        key = _mask_key(mask, n)
         coords[key] = q ** len(key[1])
     return MappingProxyType(coords)
 
@@ -182,12 +190,6 @@ def is_l_special(m: Monomial) -> bool:
     return True
 
 
-def _forced_equalities(spec: SubsetSpec) -> tuple[bool, ...]:
-    # Entry i says whether positions i and i+1 (of 0..n+1) are forced equal:
-    # a member i merges positions i-1, i and i+1, hence both pairs around it.
-    return tuple((i in spec.members) or (i + 1 in spec.members) for i in range(spec.n + 1))
-
-
 def m_generic_monomial(spec: SubsetSpec, trunc: int) -> Optional[Monomial]:
     """The canonical generic monomial of the L member, or None when there is none.
 
@@ -197,7 +199,8 @@ def m_generic_monomial(spec: SubsetSpec, trunc: int) -> Optional[Monomial]:
     """
     if trunc < spec.n:
         raise TruncationError(f"need trunc >= {spec.n}, got {trunc}")
-    return pattern_representative(_forced_equalities(spec))
+    key = _mask_key(_forced(_bits(spec.members)), spec.n)
+    return None if key is None else _representative(key)
 
 
 def m_membership(m: Monomial, spec: SubsetSpec) -> bool:
@@ -209,4 +212,4 @@ def m_membership(m: Monomial, spec: SubsetSpec) -> bool:
     """
     if m.degree != spec.n:
         raise ValueError(f"degree mismatch: monomial has {m.degree}, spec has n={spec.n}")
-    return equality_pattern(m) == _forced_equalities(spec)
+    return _mask(m) == _forced(_bits(spec.members))

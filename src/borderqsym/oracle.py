@@ -3,31 +3,31 @@
 A monomial fails the special-monomial predicate through one of three
 local patterns in its padded nondecreasing index tuple: an interior
 natural pair (a natural variable with exponent exactly 2), a lone x0, or
-a lone xinf.  Resolving such a pattern replaces its single equality by a
-strict step and takes the minimal representative of the resulting
-equality pattern (naturals 1, 2, 3, ..., shared with the families
-module); by quasisymmetry in the natural variables this canonical
-choice carries the same coefficient as any other realization of the
-resolved pattern.
+a lone xinf.  Each is a set bit with both neighbours clear in the
+tuple's equality mask (bit i is the flag g_i = g_{i+1}, the families
+module's encoding).  Resolving such a pattern clears that bit and takes
+the minimal representative of the resulting mask (naturals 1, 2, 3,
+..., shared with the families module); by quasisymmetry in the natural
+variables this canonical choice carries the same coefficient as any
+other realization of the resolved mask.
 
 The spreading check asserts that every resolution doubles the
 coefficient; L members and their products satisfy it, which is what
 makes the elimination in the basis module terminate at zero.  Relations
-and resolutions depend only on a monomial's equality pattern, and the
+and resolutions depend only on a monomial's equality mask, and the
 coefficient of a quasisymmetric series only on the monomial's bordered
 M-coordinate, so such a series is checked on its 2^(n+1) - 1 equality
-patterns, reading each coefficient from the pattern's coordinate,
-instead of on every monomial of the slice.
+masks, reading each coefficient from the mask's coordinate (one cached
+key table per degree), instead of on every monomial of the slice.
 The case-rule coefficient function recomputes degree-1 K product
 coefficients per variable, without ever multiplying series.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     INF,
@@ -39,7 +39,7 @@ from .core import (
     all_monomials,
     is_border,
 )
-from .families import SubsetSpec, _pattern_key, equality_pattern, pattern_representative
+from .families import SubsetSpec, _mask, _mask_key, _mask_keys, _representative
 
 
 class RelationKind(Enum):
@@ -62,43 +62,40 @@ class ProblematicRelation:
     position: int
 
 
-def _relations(flags: Sequence[bool]) -> list[tuple[RelationKind, int]]:
-    # The relations of every monomial with these equality flags g_i = g_{i+1}
-    # (i = 0..n), by position: a lone x0 or xinf is a border block of size
-    # 2, an interior square a middle block of size 2.
-    n = len(flags) - 1
-    if n == 0:
-        return []
+def _relations(mask: int, n: int) -> list[tuple[RelationKind, int]]:
+    # The relations of every degree-n monomial with this equality mask, by
+    # position: a set bit p with both neighbours clear is a block of size
+    # 2, a lone x0 at p = 0, a lone xinf at p = n and an interior square
+    # between.  Degree 0 has no relation.
+    lone = mask & ~(mask << 1 | mask >> 1) if n else 0
     out = []
-    if flags[0] and not flags[1]:
-        out.append((RelationKind.BORDER_ZERO, 0))
-    for p in range(1, n):
-        if flags[p] and not flags[p - 1] and not flags[p + 1]:
-            out.append((RelationKind.INTERIOR_SQUARE, p))
-    if flags[n] and not flags[n - 1]:
-        out.append((RelationKind.BORDER_INF, n))
+    while lone:
+        p = (lone & -lone).bit_length() - 1
+        lone &= lone - 1
+        if p == 0:
+            out.append((RelationKind.BORDER_ZERO, p))
+        else:
+            out.append((RelationKind.BORDER_INF if p == n else RelationKind.INTERIOR_SQUARE, p))
     return out
 
 
 def problematic_relations(m: Monomial) -> tuple[ProblematicRelation, ...]:
     """All problematic relations of m, ordered by position; empty iff special."""
-    return tuple(ProblematicRelation(kind, p) for kind, p in _relations(equality_pattern(m)))
+    return tuple(ProblematicRelation(kind, p) for kind, p in _relations(_mask(m), m.degree))
 
 
 def resolve(m: Monomial, relation: ProblematicRelation, trunc: int) -> Monomial:
     """Replace the relation's equality by a strict step and renormalize.
 
-    The result is the minimal representative of m's equality pattern with
-    the relation's flag cleared: it keeps every other relation between
+    The result is the minimal representative of m's equality mask with
+    the relation's bit cleared: it keeps every other relation between
     consecutive tuple entries and uses the naturals 1, 2, 3, ... in order.
     It needs at most ``m.degree`` of them, so any trunc >= degree always
     suffices.
     """
     if relation not in problematic_relations(m):
         raise ValueError(f"{relation} is not a problematic relation of {m}")
-    pattern = list(equality_pattern(m))
-    pattern[relation.position] = False
-    out = pattern_representative(pattern)
+    out = _representative(_mask_key(_mask(m) & ~(1 << relation.position), m.degree))
     if out.max_natural() > trunc:
         raise TruncationError(f"resolution needs {out.max_natural()} naturals, trunc is {trunc}")
     return out
@@ -121,35 +118,36 @@ def check_spreading(f: Series) -> bool:
     support counts as coefficient zero.  Needs trunc >= degree + 1 so
     that a resolution can always spend one fresh natural value.
 
-    A quasisymmetric f is swept by equality pattern instead, without
-    building a monomial: the relations come from the pattern's flags, a
-    resolution clears one flag, and every coefficient is read from the
-    pattern's M-coordinate.  That is exact because a monomial's relations
-    and resolutions depend only on its pattern, and its coefficient only
-    on its coordinate; with V >= degree + 1 every coordinate has a
-    placement, so none reads as zero by mistake.
+    A quasisymmetric f is swept by equality mask instead, without
+    building a monomial: the relations come from the mask, a resolution
+    clears one bit, and every coefficient is read from the mask's
+    M-coordinate.  That is exact because a monomial's relations and
+    resolutions depend only on its mask, and its coefficient only on its
+    coordinate; with V >= degree + 1 every coordinate has a placement, so
+    none reads as zero by mistake.
     """
-    if f.trunc < f.degree + 1:
-        raise TruncationError(f"need trunc >= degree + 1 = {f.degree + 1}, got {f.trunc}")
+    n = f.degree
+    if f.trunc < n + 1:
+        raise TruncationError(f"need trunc >= degree + 1 = {n + 1}, got {f.trunc}")
     coords = _coordinates(f)
     if coords is None:
-        # a resolution is the minimal representative of its pattern
-        cases = ((equality_pattern(m), f.coefficient(m)) for m in all_monomials(f.degree, f.trunc))
+        # a resolution is the minimal representative of its mask
+        cases = ((_mask(m), f.coefficient(m)) for m in all_monomials(n, f.trunc))
 
-        def resolved(flags: tuple[bool, ...]) -> int:
-            return f.coefficient(pattern_representative(flags))
+        def resolved(mask: int) -> int:
+            return f.coefficient(_representative(_mask_key(mask, n)))
 
     else:
-        # the all-equal pattern has no coordinate and no relation
-        patterns = itertools.product((False, True), repeat=f.degree + 1)
-        cases = ((flags, coords.get(_pattern_key(flags), 0)) for flags in patterns)
+        # the all-ones mask has no coordinate and no relation
+        keys = _mask_keys(n)
+        cases = ((mask, coords.get(key, 0)) for mask, key in enumerate(keys))
 
-        def resolved(flags: tuple[bool, ...]) -> int:
-            return coords.get(_pattern_key(flags), 0)
+        def resolved(mask: int) -> int:
+            return coords.get(keys[mask], 0)
 
-    for flags, c in cases:
-        for _, p in _relations(flags):
-            if 2 * c != resolved((*flags[:p], False, *flags[p + 1:])):
+    for mask, c in cases:
+        for _, p in _relations(mask, n):
+            if 2 * c != resolved(mask & ~(1 << p)):
                 return False
     return True
 

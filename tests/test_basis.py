@@ -23,6 +23,7 @@ from borderqsym import (
     rational_solve,
     reconstruct,
 )
+from borderqsym import basis
 from conftest import mono, spec
 
 
@@ -198,6 +199,14 @@ class TestDecomposeK:
         assert combo == product
         assert reconstruct(decompose_k(product), 4) == product
 
+    def test_truncation_checked_before_degree_data(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError(f"degree {d} data built")
+
+        monkeypatch.setattr(basis, "_mask_table", refuse)
+        with pytest.raises(TruncationError):
+            decompose_k(Series.zero(13, 1))
+
 
 class TestClosureSweep:
     def test_products_stay_in_the_span(self):
@@ -234,6 +243,19 @@ class TestDecompositionObject:
             Decomposition(2, "K", {spec(3): 1})
         with pytest.raises(ValueError):
             Decomposition(2, "K", {spec(2): 0})
+
+    def test_library_results_are_not_revalidated(self, monkeypatch):
+        product = k_series(spec(3, 1), 7) * k_series(spec(4, 2, 3), 7)
+        expected = (decompose_l(product), decompose_k(product))
+
+        def refuse(self):
+            raise AssertionError("coefficients revalidated")
+
+        monkeypatch.setattr(Decomposition, "__post_init__", refuse)
+        assert (decompose_l(product), decompose_k(product)) == expected
+        monkeypatch.undo()
+        with pytest.raises(ValueError):
+            Decomposition(2, "K", {spec(3): 1})
 
     def test_reconstruct_basics(self):
         assert reconstruct(Decomposition(3, "L", {spec(3): 1}), 3) == l_series(spec(3), 3)

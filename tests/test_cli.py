@@ -209,6 +209,22 @@ def test_oversized_request_refused_promptly(run):
     assert "13278801323196590818" in err and "10000000" in err
 
 
+def test_member_with_too_many_patterns_refused_promptly(run):
+    # the slice at V = 1 is small, but a degree-23 member has 2^24 masks
+    start = time.perf_counter()
+    code, out, err = run("kseries", "--n", "23", "--vars", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert "16777216" in err and "10000000" in err
+
+
+def test_product_of_members_under_the_limit_runs(run):
+    code, out, _ = run("multiply", "--left", "K:12:", "--right", "K:11:", "--vars", "1")
+    assert code == 0
+    assert out
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "borderqsym", "gp", "--string", "AB"],

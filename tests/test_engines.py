@@ -55,6 +55,7 @@ from borderqsym import (
 )
 from borderqsym import basis, cli, core, families
 from conftest import mono, spec
+from test_patterns import reference_forced_equalities, reference_pattern_key
 
 BASES = {"K": 2, "L": 2, "K3": 3, "K-2": -2}
 
@@ -129,7 +130,7 @@ def reference_coordinate_walk(target, subset_order=None):
         residual = dict(coords)
     coeffs = {}
     for s in order:
-        generic = families._pattern_key(families._forced_equalities(s))
+        generic = reference_pattern_key(reference_forced_equalities(s))
         if generic is None:
             continue
         c = residual.get(generic, 0)
@@ -713,7 +714,7 @@ class TestWalkEmulationPins:
 
         monkeypatch.setattr(SubsetSpec, "__post_init__", refuse)
         for module in (families, basis):
-            for name in ("_forced_equalities", "_pattern_coords"):
+            for name in ("_forced", "_mask_key", "_mask_keys", "_pattern_coords"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         assert [(decompose_l(p).coeffs, decompose_k(p).coeffs) for p in products] == expected

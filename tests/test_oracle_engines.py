@@ -8,7 +8,7 @@ references, and requires equal answers on family products, on
 combinations of members, and on perturbed copies that are and are not
 quasisymmetric.  It also pins that the coordinate paths are taken and
 build no monomial, that an expanded series shares its (index, exponent)
-pairs, and that the relation rule, now read off equality flags, agrees
+pairs, and that the relation rule, now read off equality masks, agrees
 with the rule read off exponents.
 """
 
