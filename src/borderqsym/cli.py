@@ -8,8 +8,8 @@ order, so parsing and re-serializing is byte-identical).  Exit codes:
 A request whose monomial slice C(V + d + 1, d) at output degree d
 exceeds 10^7 is refused up front with exit 1, and so is one that would
 build a member of degree n with more than 10^7 equality patterns,
-2^(n + 1), whatever V is.
-Set BORDERQSYM_VERBOSE=1 for progress detail on stderr.
+2^(n + 1), whatever V is.  A --vars below 1 is refused with exit 1 by
+every command that takes it.
 """
 
 from __future__ import annotations
@@ -17,36 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import traceback
-from collections import Counter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .basis import (
-    Decomposition,
-    NonzeroResidualError,
-    NotDivisibleError,
-    decompose_k,
-    decompose_l,
-    k_from_l,
-    l_from_k,
-    rational_solve,
-    reconstruct,
-)
+from .basis import NonzeroResidualError, NotDivisibleError, decompose_k, decompose_l
 from .core import Series
-from .families import SubsetSpec, all_subsets, k_series, k_series_q, l_series
-from .oracle import check_spreading, k1_coefficient
+from .families import SubsetSpec, k_series, k_series_q, l_series
+from .oracle import check_spreading
 from .shuffle import gp, k1_product, multiset_counts, multiset_json_obj
-
-
-def _verbose() -> bool:
-    return os.environ.get("BORDERQSYM_VERBOSE", "") not in ("", "0")
-
-
-def _note(msg: str) -> None:
-    if _verbose():
-        print(msg, file=sys.stderr)
+from .verify import SUITES, q_square_in_span
 
 
 def dump_json(obj) -> str:
@@ -193,18 +173,10 @@ def _cmd_check_spreading(args) -> int:
     return 0 if ok else 1
 
 
-def _q_square_in_span(q: int) -> bool:
-    # whether the square of the degree-1 member spans the degree-2 members, base q
-    one = SubsetSpec(1)
-    square = k_series_q(one, 2, q) * k_series_q(one, 2, q)
-    columns = [k_series_q(spec, 2, q) for spec in all_subsets(2)]
-    return rational_solve(columns, square) is not None
-
-
 def _cmd_check_q(args) -> int:
     if args.q == 0:
         raise ValueError("q must be nonzero")
-    in_span = _q_square_in_span(args.q)
+    in_span = q_square_in_span(args.q)
     if args.json:
         sys.stdout.write(dump_json({"q": args.q, "in_span": in_span}))
     elif in_span:
@@ -214,94 +186,10 @@ def _cmd_check_q(args) -> int:
     return 0 if in_span else 1
 
 
-def _suite_closure(max_degree: int = 5) -> tuple[bool, str]:
-    count = 0
-    for d in range(max_degree + 1):
-        trunc = max(d, 1)
-        for n in range(d + 1):
-            for lam in all_subsets(n):
-                for om in all_subsets(d - n):
-                    pairs = (
-                        (l_series(lam, trunc) * l_series(om, trunc), decompose_l),
-                        (k_series(lam, trunc) * k_series(om, trunc), decompose_k),
-                    )
-                    for target, decompose in pairs:
-                        try:
-                            dec = decompose(target)
-                        except (NotDivisibleError, NonzeroResidualError) as exc:
-                            return False, f"{lam!r} x {om!r}: {exc}"
-                        if reconstruct(dec, trunc) != target:
-                            return False, f"{lam!r} x {om!r}: reconstruction mismatch"
-                        count += 1
-        _note(f"closure: degree {d} done")
-    return True, f"{count} products decomposed and reconstructed exactly"
-
-
-def _suite_mobius(max_n: int = 6) -> tuple[bool, str]:
-    count = 0
-    for n in range(max_n + 1):
-        for spec in all_subsets(n):
-            for outer, inner in ((k_from_l, l_from_k), (l_from_k, k_from_l)):
-                acc: dict[SubsetSpec, int] = {}
-                for mid, c1 in outer(spec).coeffs.items():
-                    for leaf, c2 in inner(mid).coeffs.items():
-                        acc[leaf] = acc.get(leaf, 0) + c1 * c2
-                if {s: c for s, c in acc.items() if c} != {spec: 1}:
-                    return False, f"round trip broke at {spec!r}"
-                count += 1
-    return True, f"{count} round trips are identities"
-
-
-def _suite_degree1_rule(max_m: int = 4) -> tuple[bool, str]:
-    count = 0
-    for m in range(max_m + 1):
-        trunc = m + 1
-        for om in all_subsets(m):
-            peaks = Decomposition(m + 1, "K", dict(Counter(k1_product(om))))
-            total = reconstruct(peaks, trunc)
-            for left in (SubsetSpec(1), SubsetSpec(1, frozenset({1}))):
-                if total != k_series(left, trunc) * k_series(om, trunc):
-                    return False, f"expansion mismatch at {om!r} (left {left!r})"
-                count += 1
-    return True, f"{count} products match their peak-set expansions"
-
-
-def _suite_case_rule(max_m: int = 4) -> tuple[bool, str]:
-    from .core import all_monomials
-
-    count = 0
-    for m in range(max_m + 1):
-        trunc = m + 1
-        one = k_series(SubsetSpec(1), trunc)
-        for om in all_subsets(m):
-            product = one * k_series(om, trunc)
-            for mono in all_monomials(m + 1, trunc):
-                if k1_coefficient(mono, om) != product.coefficient(mono):
-                    return False, f"case rule disagrees at {mono} for {om!r}"
-                count += 1
-    return True, f"{count} coefficients match the case rule"
-
-
-def _suite_q_rigidity() -> tuple[bool, str]:
-    for q, expect_in_span in ((2, True), (3, False)):
-        if _q_square_in_span(q) != expect_in_span:
-            return False, f"unexpected span result for q={q}"
-    return True, "q=2 representable, q=3 outside the span"
-
-
-_SUITES: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
-    ("closure (n+m <= 5, both bases)", _suite_closure),
-    ("inclusion-exclusion round trips (n <= 6)", _suite_mobius),
-    ("degree-1 product rule (m <= 4)", _suite_degree1_rule),
-    ("case-rule coefficients (m <= 4)", _suite_case_rule),
-    ("base-2 rigidity (q = 3 fails, q = 2 works)", _suite_q_rigidity),
-]
-
-
 def _cmd_selftest(args) -> int:
     results = []
     all_ok = True
-    for name, suite in _SUITES:
+    for name, suite in SUITES:
         ok, detail = suite()
         all_ok = all_ok and ok
         results.append({"name": name, "ok": ok, "detail": detail})
@@ -377,8 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        if _verbose():
-            traceback.print_exc()
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

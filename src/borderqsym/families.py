@@ -155,6 +155,9 @@ def _pattern_coords(kind: str, spec: SubsetSpec, q: int) -> Mapping[tuple, int]:
 
 @lru_cache(maxsize=_MEMBER_CACHE)
 def _family(kind: str, spec: SubsetSpec, trunc: int, q: int) -> Series:
+    # _expand builds a trusted series, which skips the constructor's check
+    if not isinstance(trunc, int) or trunc < 1:
+        raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
     return _expand(spec.n, trunc, _pattern_coords(kind, spec, q))
 
 

@@ -1,9 +1,10 @@
 """Shared test shorthands."""
 
+import itertools
 import os
 from pathlib import Path
 
-from borderqsym import Monomial, SubsetSpec
+from borderqsym import INF, Monomial, Series, SubsetSpec, k_series, k_series_q, l_series
 
 
 def spec(n, *members):
@@ -12,6 +13,25 @@ def spec(n, *members):
 
 def mono(text):
     return Monomial.parse(text)
+
+
+# Coefficient base of each member kind the parity sweeps cover.
+BASES = {"K": 2, "L": 2, "K3": 3, "K-2": -2}
+
+
+def member(kind, s, trunc):
+    if kind == "L":
+        return l_series(s, trunc)
+    return k_series(s, trunc) if kind == "K" else k_series_q(s, trunc, BASES[kind])
+
+
+def group(degree, trunc, key, c):
+    """Every placement of one M-coordinate on the naturals 1..V, coefficient c."""
+    e0, word, einf = key
+    return Series(degree, trunc, {
+        Monomial(zip((0, *placement, INF), (e0, *word, einf))): c
+        for placement in itertools.combinations(range(1, trunc + 1), len(word))
+    })
 
 
 # Child processes (``python -m borderqsym``) import the package from src/

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from borderqsym import Decomposition, k_series, reconstruct
+from borderqsym import Decomposition, cli, k_series, reconstruct
 from borderqsym.cli import dump_json, main, parse_factor
 from conftest import spec
 
@@ -190,6 +190,29 @@ class TestExitCodes:
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0
 
+    def test_internal_error_prints_its_traceback(self, run, monkeypatch):
+        def broken(args):
+            raise RuntimeError("invariant broke")
+
+        monkeypatch.setattr(cli, "_cmd_gp", broken)
+        code, out, err = run("gp", "--string", "AB")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("Traceback") and err.endswith("internal error: invariant broke\n")
+
+
+def test_selftest_lines(run):
+    # the counts pin each sweep's extent: a suite that stopped early would still say ok
+    code, out, _ = run("selftest")
+    assert code == 0
+    assert out.splitlines() == [
+        "ok   closure (n+m <= 5, both bases): 642 products decomposed and reconstructed exactly",
+        "ok   inclusion-exclusion round trips (n <= 6): 254 round trips are identities",
+        "ok   degree-1 product rule (m <= 4): 62 products match their peak-set expansions",
+        "ok   case-rule coefficients (m <= 4): 8563 coefficients match the case rule",
+        "ok   base-2 rigidity (q = 3 fails, q = 2 works): q=2 representable, q=3 outside the span",
+    ]
+
 
 def test_selftest_passes(run):
     code, out, _ = run("selftest", "--json")
@@ -219,6 +242,30 @@ def test_member_with_too_many_patterns_refused_promptly(run):
     assert "16777216" in err and "10000000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("kseries", "--n", "2", "--vars", "0"),
+    ("kseries", "--n", "2", "--vars", "-3"),
+    ("lseries", "--n", "2", "--vars", "0"),
+    ("multiply", "--left", "K:1:", "--right", "K:1:1", "--vars", "0"),
+    ("decompose", "--left", "L:2:1", "--right", "L:3:2", "--vars", "0"),
+    ("check-spreading", "--left", "L:2:1", "--right", "L:3:2", "--vars", "0"),
+])
+def test_vars_below_one_refused(run, argv):
+    code, out, err = run(*argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: truncation must be a positive integer, got {argv[-1]}\n"
+
+
+def test_vars_zero_refused_before_building_a_large_member(run):
+    start = time.perf_counter()
+    code, out, err = run("kseries", "--n", "22", "--vars", "0")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert "truncation must be a positive integer" in err
+
+
 def test_product_of_members_under_the_limit_runs(run):
     code, out, _ = run("multiply", "--left", "K:12:", "--right", "K:11:", "--vars", "1")
     assert code == 0
@@ -233,14 +280,3 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "{1}\n"
-
-
-def test_verbose_env_toggle(monkeypatch):
-    from borderqsym import cli
-
-    monkeypatch.delenv("BORDERQSYM_VERBOSE", raising=False)
-    assert not cli._verbose()
-    monkeypatch.setenv("BORDERQSYM_VERBOSE", "1")
-    assert cli._verbose()
-    monkeypatch.setenv("BORDERQSYM_VERBOSE", "0")
-    assert not cli._verbose()

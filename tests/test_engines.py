@@ -54,17 +54,8 @@ from borderqsym import (
     relabel_check,
 )
 from borderqsym import basis, cli, core, families
-from conftest import mono, spec
+from conftest import BASES, group, member, mono, spec
 from test_patterns import reference_forced_equalities, reference_pattern_key
-
-BASES = {"K": 2, "L": 2, "K3": 3, "K-2": -2}
-
-
-def member(kind, s, trunc):
-    if kind == "L":
-        return l_series(s, trunc)
-    return k_series(s, trunc) if kind == "K" else k_series_q(s, trunc, BASES[kind])
-
 
 def packed_terms(series):
     """Terms keyed by the exponent vector over the alphabet, 8 bits a variable."""
@@ -337,15 +328,6 @@ def no_monomial_engine(monkeypatch):
 class TestOutOfSpanErrors:
     """Fields pinned from the monomial walk for quasisymmetric targets outside the span."""
 
-    @staticmethod
-    def group(degree, trunc, key, c):
-        # every placement of one M-coordinate on the naturals 1..V
-        e0, word, einf = key
-        return Series(degree, trunc, {
-            Monomial(zip((0, *placement, INF), (e0, *word, einf))): c
-            for placement in itertools.combinations(range(1, trunc + 1), len(word))
-        })
-
     def test_q3_square_is_not_divisible(self):
         one = k_series_q(spec(1), 2, 3)
         square = one * one
@@ -358,7 +340,7 @@ class TestOutOfSpanErrors:
     def test_odd_group_leaves_a_residual(self, trunc):
         # the witness is the group's placement on 1, 2, ..., not any other
         target = k_series(spec(1), trunc) * k_series(spec(2, 1), trunc)
-        target = target + self.group(3, trunc, (0, (2,), 1), 3)
+        target = target + group(3, trunc, (0, (2,), 1), 3)
         with pytest.raises(NonzeroResidualError) as err:
             decompose_l(target)
         assert (err.value.witness, err.value.coefficient) == (mono("x1^2*xinf"), 3)
@@ -366,7 +348,7 @@ class TestOutOfSpanErrors:
     def test_witness_is_the_smallest_representative(self):
         # (0, (2,), 1) is the smaller coordinate, but x0*x1^2 < x1^2*xinf
         target = k_series(spec(1), 3) * k_series(spec(2, 1), 3)
-        target = target + self.group(3, 3, (0, (2,), 1), 3) + self.group(3, 3, (1, (2,), 0), 5)
+        target = target + group(3, 3, (0, (2,), 1), 3) + group(3, 3, (1, (2,), 0), 5)
         with pytest.raises(NonzeroResidualError) as err:
             decompose_l(target)
         assert (err.value.witness, err.value.coefficient) == (mono("x0*x1^2"), 5)

@@ -71,6 +71,13 @@ class TestKSeries:
         out = k_series(spec(0), 1)
         assert out == Series(0, 1, {Monomial(): 1})
 
+    @pytest.mark.parametrize("trunc", [0, -3])
+    def test_truncation_below_one_rejected(self, trunc):
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            k_series(spec(2), trunc)
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            l_series(spec(2), trunc)
+
     def test_degree_one_sets_coincide(self):
         for v in (1, 3):
             assert k_series(spec(1), v) == k_series(spec(1, 1), v)

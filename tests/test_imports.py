@@ -2,7 +2,8 @@
 
 No linter runs on this tree, so an import left behind by a refactor
 would go unnoticed.  A name counts as used when the module reads it
-(annotations included) or lists it in ``__all__``.
+(annotations included) or lists it in ``__all__``.  Likewise no test
+module may define again a helper that ``conftest.py`` shares.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "borderqsym").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted((TESTS.parent / "src" / "borderqsym").glob("*.py"))
 
 
 def imported_names(tree):
@@ -36,3 +38,18 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used | exported_names(tree)]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def defined_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("test_*.py")), ids=lambda p: p.name)
+def test_no_copy_of_a_shared_helper(path):
+    shared = set(defined_names(ast.parse((TESTS / "conftest.py").read_text())))
+    copies = sorted(shared.intersection(defined_names(ast.parse(path.read_text(), filename=str(path)))))
+    assert copies == [], f"{path.name} defines {copies}, which conftest.py already provides"

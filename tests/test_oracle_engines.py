@@ -36,16 +36,7 @@ from borderqsym import (
     resolve,
 )
 from borderqsym import core, oracle
-from conftest import mono, spec
-
-BASES = {"K": 2, "L": 2, "K3": 3, "K-2": -2}
-
-
-def member(kind, s, trunc):
-    if kind == "L":
-        return l_series(s, trunc)
-    return k_series(s, trunc) if kind == "K" else k_series_q(s, trunc, BASES[kind])
-
+from conftest import BASES, group, member, mono, spec
 
 @functools.lru_cache(maxsize=16)
 def slice_resolutions(degree, trunc):
@@ -98,15 +89,6 @@ def reference_rational_solve(columns, target):
     for row_idx, col in enumerate(pivots):
         solution[col] = rows[row_idx][ncols]
     return solution
-
-
-def group(degree, trunc, key, c):
-    """Every placement of one M-coordinate on the naturals 1..V, coefficient c."""
-    e0, word, einf = key
-    return Series(degree, trunc, {
-        Monomial(zip((0, *placement, INF), (e0, *word, einf))): c
-        for placement in itertools.combinations(range(1, trunc + 1), len(word))
-    })
 
 
 def perturbations(series):

@@ -26,11 +26,8 @@ from borderqsym import (
     problematic_relations,
 )
 from borderqsym import core, families, oracle
-from conftest import spec
+from conftest import BASES, spec
 from test_oracle_engines import perturbations
-
-BASES = {"K": 2, "L": 2, "K3": 3, "K-2": -2}
-
 
 def reference_equality_pattern(m):
     """The flags g_i = g_{i+1}, i = 0..n, of m's padded nondecreasing tuple."""

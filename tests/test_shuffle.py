@@ -6,11 +6,9 @@ from collections import Counter
 import pytest
 
 from borderqsym import (
-    Series,
     all_subsets,
     gp,
     k1_product,
-    k_series,
     multiset_counts,
     multiset_json_obj,
     shuffles,
@@ -107,18 +105,6 @@ class TestK1Product:
     def test_degree_one_right_factor(self):
         got = sorted(s.members_sorted() for s in k1_product(spec(1)))
         assert got == [(1,), (2,)]
-
-    def test_expansion_equals_the_product(self):
-        for m in range(5):
-            trunc = m + 1
-            for om in all_subsets(m):
-                total = Series.zero(m + 1, trunc)
-                for out_spec in k1_product(om):
-                    total = total + k_series(out_spec, trunc)
-                product = k_series(spec(1), trunc) * k_series(om, trunc)
-                assert total == product
-                # the left factor with the full one-element set is the same series
-                assert total == k_series(spec(1, 1), trunc) * k_series(om, trunc)
 
     def test_multiset_helpers(self):
         specs = k1_product(spec(5, 1, 2, 4))
