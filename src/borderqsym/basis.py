@@ -15,19 +15,18 @@ coordinates; any other through its smallest placements (naturals
 exactly 1..k), keyed by coordinate, which are the only monomials the
 walk reads, since generic monomials are smallest placements.  A degree-d
 coordinate is one of the 2^(d+1) - 1 equality masks of a padded tuple
-(the families module's encoding: bit j says g_j = g_{j+1}; the all-ones
-mask has no key), and the L member of a subset carries 2^mid(E) at every
-mask E containing the subset's forced mask F, where mid(E) counts E's
+(bit j says g_j = g_{j+1}; the all-ones mask is no coordinate), and the
+L member of a subset carries 2^mid(E) at every mask E containing the
+subset's forced mask F, where mid(E) = d - popcount(E) counts E's
 middle blocks.  So the target's coefficient at E, split as
 2^mid(E) q(E) + r(E), gives the walk everything it reads once q is
 Möbius-transformed over masks into g (Rota 1964): the residual at F is
 2^mid(F) times the sum of g over the masks inside F, plus r(F), and
 subtracting k times the member lowers g(F) by k and changes nothing
 else.  The coefficients, their order and every error field are
-therefore the walk's, for any subset order.  The degree-only data
-(block counts, subsets, forced masks, and the keys, which the families
-module builds and caches) is built once per degree.  The witness of a
-nonzero residual is the smallest monomial of the target minus the
+therefore the walk's, for any subset order.  The subsets and their
+forced masks are built once per degree.  The witness of a nonzero
+residual is the smallest monomial of the target minus the
 reconstruction of what was found; a target that is not quasisymmetric
 always leaves one.
 :func:`decompose_k` turns the L coefficients into K coefficients by one
@@ -55,8 +54,8 @@ from itertools import chain, combinations
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import Monomial, Series, TruncationError, _coordinates, _expand, _key
-from .families import SubsetSpec, _bits, _forced, _mask_keys, _pattern_coords, _representative
+from .core import Monomial, Series, TruncationError, _coordinates, _expand, _mask
+from .families import SubsetSpec, _bits, _forced, _pattern_coords, _representative, all_subsets
 
 
 class NotDivisibleError(ArithmeticError):
@@ -156,40 +155,32 @@ def l_from_k(spec: SubsetSpec) -> Decomposition:
     return Decomposition(spec.n, "K", {SubsetSpec(spec.n, sub): sign for sub, sign in _signed_subsets(spec)})
 
 
-# Entries of the mask table cache, one per degree.  A table holds 2^d
-# subsets and 2^(d+1) keys, which are the families module's cached tuple:
-# 5.7 MB in all at degree 12 (the command line's largest decomposition)
-# and 23 MB at 14; the benchmark decomposes at degrees 0 to 7.
+# Entries of the mask table cache, one per degree.  A table holds the 2^d
+# subsets, listed in the default order with their forced masks and by
+# bitmask: 3.5 MB at degree 12 (the command line's largest
+# decomposition) and 14 MB at 14; the benchmark decomposes at degrees 0
+# to 7.
 _MASK_TABLE_CACHE = 16
 
 
 class _MaskTable(NamedTuple):
-    """Degree-only data of the decomposition, over the 2^(d+1) equality masks.
+    """Degree-only data of the decomposition: the 2^d subsets of [d].
 
-    Bit j of a mask is the flag g_j = g_{j+1} of a padded tuple, j = 0..d;
-    bit i - 1 of a subset bitmask is the member i.
+    Bit i - 1 of a subset bitmask is the member i; the forced mask of a
+    subset is an equality mask (bit j is the flag g_j = g_{j+1}).
     """
 
-    keys: tuple        # mask -> its M-coordinate; None for the all-ones mask
-    mids: tuple        # mask -> its number of middle blocks
-    mask_of: dict      # M-coordinate -> mask
     order: tuple       # (SubsetSpec, forced mask) in the default subset order
-    specs: tuple       # subset bitmask -> SubsetSpec
+    specs: tuple       # subset bitmask -> the same SubsetSpec
 
 
 @lru_cache(maxsize=_MASK_TABLE_CACHE)
 def _mask_table(d: int) -> _MaskTable:
-    keys = _mask_keys(d)
-    specs = tuple(
-        SubsetSpec(d, frozenset(i for i in range(1, d + 1) if bits >> (i - 1) & 1)) for bits in range(1 << d)
-    )
-    return _MaskTable(
-        keys,
-        tuple(0 if key is None else len(key[1]) for key in keys),
-        {key: mask for mask, key in enumerate(keys) if key is not None},
-        tuple((spec, _forced(bits)) for bits, spec in sorted(enumerate(specs), key=lambda bs: bs[1].size_lex_key())),
-        specs,
-    )
+    order = tuple((spec, _bits(spec.members)) for spec in all_subsets(d))
+    specs = [None] * len(order)
+    for spec, bits in order:
+        specs[bits] = spec
+    return _MaskTable(tuple((spec, _forced(bits)) for spec, bits in order), tuple(specs))
 
 
 def _subset_passes(values: list[int], passes: int, mobius: bool) -> None:
@@ -254,14 +245,12 @@ def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = N
     read = coords
     if coords is None:
         # the walk reads only generic monomials, which are smallest placements
-        read = {_key(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
+        read = {_mask(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
     full = (1 << (d + 1)) - 1
-    mids, mask_of = table.mids, table.mask_of
     g = [0] * (full + 1)
     rem: dict[int, int] = {}
-    for key, c in read.items():
-        mask = mask_of[key]
-        g[mask], r = divmod(c, 1 << mids[mask])
+    for mask, c in read.items():
+        g[mask], r = divmod(c, 1 << d - mask.bit_count())
         if r:
             rem[mask] = r
     _subset_passes(g, d + 1, mobius=True)
@@ -273,8 +262,8 @@ def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = N
         s = sum([v for mask, v in left.items() if mask | forced == forced])
         r = rem.get(forced)
         if r:
-            divisor = 1 << mids[forced]
-            raise NotDivisibleError(spec, _representative(table.keys[forced]), s * divisor + r, divisor)
+            divisor = 1 << d - forced.bit_count()
+            raise NotDivisibleError(spec, _representative(forced, d), s * divisor + r, divisor)
         if s:
             coeffs[spec] = s
             v = left.get(forced, 0) - s
@@ -287,7 +276,7 @@ def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = N
         rest = target - reconstruct(found, target.trunc)
         rest_coords = _coordinates(rest)
         # a coordinate's smallest monomial places its word on 1, 2, ...
-        terms = rest.terms if rest_coords is None else {_representative(k): c for k, c in rest_coords.items()}
+        terms = rest.terms if rest_coords is None else {_representative(k, d): c for k, c in rest_coords.items()}
         if terms:
             witness, c = min(terms.items(), key=lambda mc: mc[0].sort_key())
             raise NonzeroResidualError(witness, c)
@@ -317,7 +306,7 @@ def reconstruct(dec: Decomposition, trunc: int) -> Series:
     """Evaluate the combination at truncation V >= degree."""
     if trunc < dec.degree:
         raise TruncationError(f"need trunc >= degree {dec.degree}, got {trunc}")
-    coords: dict[tuple, int] = {}
+    coords: dict[int, int] = {}
     for spec, c in dec.coeffs.items():
         for key, v in _pattern_coords(dec.basis, spec, 2).items():
             coords[key] = coords.get(key, 0) + c * v

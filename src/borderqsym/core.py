@@ -12,13 +12,16 @@ exponent suffix ``^e`` omitted when e is 1, e.g. ``x0^2*x3*xinf^2``.
 The empty monomial encodes as ``1``.
 
 Bordered M-coordinates.  A series that is quasisymmetric in the natural
-variables is fixed by a V-free table (e0, word, e_inf) -> coefficient:
-the border exponents and the natural exponents read in increasing index
-order (Gessel's monomial quasisymmetric basis, bordered).  The series at
-V is the sum, over the table, of the coefficient times every monomial
-that places the word on increasing naturals 1..V; a word longer than V
-has no placement.  Products of such series add border exponents and
-quasi-shuffle the words (Hoffman, "Quasi-shuffle products", 2000), so
+variables is fixed by a V-free table from M-coordinates to coefficients:
+the border exponents e0 and e_inf and the word of natural exponents read
+in increasing index order (Gessel's monomial quasisymmetric basis,
+bordered).  A coordinate is keyed by the int equality mask of its padded
+index tuple (0, g_1, ..., g_d, inf), bit i the flag g_i = g_{i+1}:
+compositions are subsets (Gessel 1984).  The series at V is the sum,
+over the table, of the coefficient times every monomial that places the
+word on increasing naturals 1..V; a word longer than V has no placement.
+Products of such series add border exponents and quasi-shuffle the
+words (Hoffman, "Quasi-shuffle products", 2000), so
 :meth:`Series.mul` works on coordinates, and so do addition, scaling,
 comparison and restriction when every operand has them.  A series born
 from coordinates (a family member, a product, a reconstruction, a sum)
@@ -246,7 +249,7 @@ class Series:
         self._coords = None  # M-coordinates once read; False when there are none
 
     @classmethod
-    def _trusted(cls, degree: int, trunc: int, terms: Mapping[Monomial, int], coords: Mapping[tuple, int]) -> "Series":
+    def _trusted(cls, degree: int, trunc: int, terms: Mapping[Monomial, int], coords: Mapping[int, int]) -> "Series":
         # For terms that are valid by construction, with their M-coordinates;
         # a dict is wrapped read-only, a placement view is read-only already.
         s = object.__new__(cls)
@@ -297,14 +300,18 @@ class Series:
         a, b = _coordinates(self), _coordinates(other)
         if a is None or b is None:
             return _convolve(self, other)
-        out: dict[tuple, int] = {}
-        for (a0, u, ainf), ca in a.items():
-            for (b0, v, binf), cb in b.items():
-                c = ca * cb
-                for w, mult in _quasi_shuffle(u, v):
-                    key = (a0 + b0, w, ainf + binf)
-                    out[key] = out.get(key, 0) + c * mult
-        return _expand(self.degree + other.degree, self.trunc, {k: c for k, c in out.items() if c})
+        n = self.degree + other.degree
+        right = [(*_split(key, other.degree), c) for key, c in b.items()]
+        out: dict[int, int] = {}
+        for key, ca in a.items():
+            a0, u, su, ainf = _split(key, self.degree)
+            for b0, v, sv, binf, cb in right:
+                e0, einf, c = a0 + b0, ainf + binf, ca * cb
+                border = (1 << e0) - 1 | (1 << einf) - 1 << n + 1 - einf
+                for w, mult in _quasi_shuffle(u, su, v, sv):
+                    w = border | w << e0 + 1
+                    out[w] = out.get(w, 0) + c * mult
+        return _expand(n, self.trunc, {k: c for k, c in out.items() if c})
 
     def restrict(self, trunc: int) -> "Series":
         """Drop every monomial using a natural index beyond the new truncation.
@@ -378,26 +385,49 @@ def _convolve(a: Series, b: Series) -> Series:
 
 
 # Entries of the quasi-shuffle cache.  Every pair of words of total weight
-# up to 10 fits (6,144 pairs); products of degree 7, the heaviest in the
-# benchmark, use at most 576.
+# up to 10 fits (6,144 pairs, 8.4 MB); products of degree 7, the heaviest
+# in the benchmark, use at most 576.
 _QUASI_SHUFFLE_CACHE = 1 << 13
 
 
-def _key(m: Monomial) -> tuple:
-    """The M-coordinate of m: (e0, word of natural exponents, e_inf)."""
-    pairs = m.pairs
-    e0 = pairs[0][1] if pairs and pairs[0][0] == 0 else 0
-    einf = pairs[-1][1] if pairs and pairs[-1][0] == INF else 0
-    return (e0, tuple([e for _, e in pairs[e0 > 0:len(pairs) - (einf > 0)]]), einf)
+def _mask(m: Monomial) -> int:
+    """The M-coordinate of m: bit i is the flag g_i = g_{i+1} of its padded tuple."""
+    mask, pos = 0, 1  # pos: the first position after the block of g_0
+    for i, e in m.pairs:
+        if i == 0:
+            mask, pos = (1 << e) - 1, e + 1
+        elif i == INF:
+            mask |= (1 << e) - 1 << pos
+        else:
+            mask |= (1 << e - 1) - 1 << pos
+            pos += e
+    return mask
 
 
-def _coordinates(series: Series) -> Optional[Mapping[tuple, int]]:
+def _split(mask: int, degree: int) -> tuple[int, int, int, int]:
+    """(e0, word, weight, e_inf) of a mask: the runs of 1-bits at its ends and the bits between.
+
+    The word is a bitmask whose letter k is k - 1 set bits and a clear
+    bit; its weight is the sum of its letters.  A mask has
+    degree - popcount(mask) letters.  The all-ones mask has no split.
+    """
+    e0 = (~mask & mask + 1).bit_length() - 1
+    top = (((2 << degree) - 1) ^ mask).bit_length() - 1
+    return e0, mask >> e0 + 1 & (1 << top - e0) - 1, top - e0, degree - top
+
+
+def _letters(word: int, weight: int) -> list[int]:
+    # bit 0 first, each clear bit closes a letter; the bit at weight is a sentinel
+    return [len(run) + 1 for run in bin(word | 1 << weight)[:2:-1].split("0")[:-1]]
+
+
+def _coordinates(series: Series) -> Optional[Mapping[int, int]]:
     """The series' M-coordinates, or None when it is not quasisymmetric.
 
     The one place where quasisymmetry is tested; :func:`relabel_check`
     only reports the answer.  A series born from coordinates has them
     already.  Any other series has its terms grouped by coordinate, and
-    each group must hold all C(V, len(word)) placements with one shared
+    each group must hold all C(V, letters) placements with one shared
     coefficient.  The answer is kept on the series, ``False`` for one
     without coordinates, so each series is read at most once.
     """
@@ -407,42 +437,46 @@ def _coordinates(series: Series) -> Optional[Mapping[tuple, int]]:
     return None if coords is False else coords
 
 
-def _read_coordinates(series: Series) -> Mapping[tuple, int] | bool:
+def _read_coordinates(series: Series) -> Mapping[int, int] | bool:
     # a dict-born series' terms grouped by coordinate, or False
-    coords: dict[tuple, int] = {}
-    placements: dict[tuple, int] = {}
+    coords: dict[int, int] = {}
+    placements: dict[int, int] = {}
     for m, c in series.terms.items():
-        key = _key(m)
+        key = _mask(m)
         if coords.setdefault(key, c) != c:
             return False
         placements[key] = placements.get(key, 0) + 1
-    if any(n != math.comb(series.trunc, len(key[1])) for key, n in placements.items()):
+    if any(n != math.comb(series.trunc, series.degree - key.bit_count()) for key, n in placements.items()):
         return False
     return MappingProxyType(coords)
 
 
 @lru_cache(maxsize=_QUASI_SHUFFLE_CACHE)
-def _quasi_shuffle(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Hoffman's quasi-shuffle of two words, as (word, multiplicity) pairs.
+def _quasi_shuffle(u: int, su: int, v: int, sv: int) -> tuple[tuple[int, int], ...]:
+    """Hoffman's quasi-shuffle of words u and v of weights su and sv, as (word, multiplicity) pairs.
 
     Each result word starts with u's first letter, v's first letter, or
-    their sum, followed by a quasi-shuffle of what remains.
+    their sum, followed by a quasi-shuffle of what remains.  Words are
+    bitmasks as :func:`_split` gives them: a first letter ends at the
+    lowest clear bit.
     """
-    if not u or not v:
-        return ((u + v, 1),)
-    out: dict[tuple[int, ...], int] = {}
+    if not su or not sv:
+        return ((u | v << su, 1),)
+    a, b = (~u & u + 1).bit_length(), (~v & v + 1).bit_length()
+    out: dict[int, int] = {}
     for head, rest in (
-        (u[0], _quasi_shuffle(u[1:], v)),
-        (v[0], _quasi_shuffle(u, v[1:])),
-        (u[0] + v[0], _quasi_shuffle(u[1:], v[1:])),
+        (a, _quasi_shuffle(u >> a, su - a, v, sv)),
+        (b, _quasi_shuffle(u, su, v >> b, sv - b)),
+        (a + b, _quasi_shuffle(u >> a, su - a, v >> b, sv - b)),
     ):
+        bits = (1 << head - 1) - 1
         for w, c in rest:
-            w = (head, *w)
+            w = bits | w << head
             out[w] = out.get(w, 0) + c
     return tuple(out.items())
 
 
-def _expand(degree: int, trunc: int, coords: Mapping[tuple, int]) -> Series:
+def _expand(degree: int, trunc: int, coords: Mapping[int, int]) -> Series:
     """The series at truncation V with these M-coordinates.
 
     Every key must have the given degree and a nonzero coefficient.  A
@@ -450,7 +484,7 @@ def _expand(degree: int, trunc: int, coords: Mapping[tuple, int]) -> Series:
     The series keeps the other keys and no monomial: its ``terms`` is a
     :class:`_Placements` view over them.
     """
-    kept = MappingProxyType({key: c for key, c in coords.items() if len(key[1]) <= trunc})
+    kept = MappingProxyType({key: c for key, c in coords.items() if degree - key.bit_count() <= trunc})
     return Series._trusted(degree, trunc, _Placements(degree, trunc, kept), kept)
 
 
@@ -468,18 +502,18 @@ class _Placements(Mapping):
 
     __slots__ = ("_degree", "_trunc", "_coords", "_len")
 
-    def __init__(self, degree: int, trunc: int, coords: Mapping[tuple, int]):
+    def __init__(self, degree: int, trunc: int, coords: Mapping[int, int]):
         self._degree = degree
         self._trunc = trunc
         self._coords = coords
-        self._len = sum(math.comb(trunc, len(word)) for _, word, _ in coords)
+        self._len = sum(math.comb(trunc, degree - key.bit_count()) for key in coords)
 
     def __len__(self) -> int:
         return self._len
 
     def get(self, m, default=None):
         if isinstance(m, Monomial) and m.degree == self._degree and m.max_natural() <= self._trunc:
-            return self._coords.get(_key(m), default)
+            return self._coords.get(_mask(m), default)
         return default
 
     def __getitem__(self, m) -> int:
@@ -504,11 +538,12 @@ class _Placements(Mapping):
         trusted = Monomial._trusted
         # cells[e] holds (i, e) for i = 0, 1, ..., V and then (INF, e)
         cells = [[*((i, e) for i in range(self._trunc + 1)), (INF, e)] for e in range(degree + 1)]
-        for (e0, word, einf), c in self._coords.items():
+        for key, c in self._coords.items():
+            e0, word, weight, einf = _split(key, degree)
             head = (cells[e0][0],) if e0 else ()
             tail = (cells[einf][-1],) if einf else ()
-            columns = [cells[e] for e in word]
-            for placement in itertools.combinations(naturals, len(word)):
+            columns = [cells[e] for e in _letters(word, weight)]
+            for placement in itertools.combinations(naturals, len(columns)):
                 yield trusted((*head, *map(list.__getitem__, columns, placement), *tail), degree), c
 
 

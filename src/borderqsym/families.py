@@ -16,10 +16,10 @@ encoding of the library: bit i is the flag g_i = g_{i+1}, i = 0..n.  A
 selected position i is inside an equal triple exactly when bits i - 1
 and i are both set, so K keeps a mask E iff E & E >> 1 has no member's
 bit, and L keeps E iff E contains the subset's forced mask.  The weight
-depends only on the mask, and the mask's runs of 1-bits give its block
-sizes, a bordered M-coordinate (e0, word, e_inf) of the core module.  So
-each member is first built V-free, as the map from its kept masks'
-coordinates to q^(number of middle blocks), and then expanded to its
+depends only on the mask, and the mask is itself the bordered
+M-coordinate of the core module, which keys every coordinate table.
+So each member is first built V-free, as the map from its kept masks to
+q^(number of middle blocks), n - popcount(E), and then expanded to its
 monomials at V by the core's one placement loop.  Generic monomials,
 the decomposition's mask tables and the oracle's relations and
 resolutions read the same mask rules here.
@@ -37,16 +37,12 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .core import INF, Monomial, Series, TruncationError, _expand, is_natural
+from .core import INF, Monomial, Series, TruncationError, _expand, _letters, _mask, _split, is_natural
 
 # Entries of each member cache.  The largest working set of any benchmark
 # workload is about 500 members (closure: every K and L member of degree
 # up to 6 at one V per degree), so members are never evicted in use.
 _MEMBER_CACHE = 1024
-
-# Entries of the per-degree mask key cache.  Degree n holds 2^(n+1) keys,
-# which the basis module's mask tables share rather than copy.
-_MASK_KEY_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -57,11 +53,12 @@ class SubsetSpec:
     members: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        # bool is an int subclass, but True is not a position
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
         members = frozenset(self.members)
         for i in members:
-            if not isinstance(i, int) or not 1 <= i <= self.n:
+            if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.n:
                 raise ValueError(f"member {i!r} outside 1..{self.n}")
         object.__setattr__(self, "members", members)
 
@@ -98,28 +95,6 @@ def all_subsets(n: int) -> Iterator[SubsetSpec]:
             yield SubsetSpec(n, frozenset(combo))
 
 
-def _mask(m: Monomial) -> int:
-    # Bit i is the flag g_i = g_{i+1} of m's padded nondecreasing tuple.
-    g = (0, *m.indices(), INF)
-    return sum(1 << i for i in range(len(g) - 1) if g[i] == g[i + 1])
-
-
-def _mask_key(mask: int, n: int) -> Optional[tuple]:
-    # The M-coordinate (e0, word, e_inf) of a degree-n mask: a run of k
-    # 1-bits joins k + 1 positions into one block; the bit above n keeps
-    # the high zero bits in the string, which lists bit 0 first.  None for
-    # the all-ones mask, which would identify 0 with inf.
-    runs = bin(mask | 2 << n)[:2:-1].split("0")
-    if len(runs) == 1:
-        return None
-    return (len(runs[0]), tuple([len(r) + 1 for r in runs[1:-1]]), len(runs[-1]))
-
-
-@lru_cache(maxsize=_MASK_KEY_CACHE)
-def _mask_keys(n: int) -> tuple:
-    return tuple(_mask_key(mask, n) for mask in range(2 << n))
-
-
 def _bits(members: Iterable[int]) -> int:
     # bit i - 1 is the member i
     return sum(1 << (i - 1) for i in members)
@@ -130,26 +105,26 @@ def _forced(bits: int) -> int:
     return bits | bits << 1
 
 
-def _representative(key: tuple) -> Monomial:
-    # The monomial placing the key's word on the naturals 1, 2, 3, ...
-    e0, word, einf = key
-    return Monomial(zip((0, *range(1, len(word) + 1), INF), (e0, *word, einf), strict=True))
+def _representative(mask: int, n: int) -> Monomial:
+    # The monomial placing the mask's word on the naturals 1, 2, 3, ...
+    e0, word, weight, einf = _split(mask, n)
+    letters = _letters(word, weight)
+    return Monomial(zip((0, *range(1, len(letters) + 1), INF), (e0, *letters, einf), strict=True))
 
 
 @lru_cache(maxsize=_MEMBER_CACHE)
-def _pattern_coords(kind: str, spec: SubsetSpec, q: int) -> Mapping[tuple, int]:
-    # V-free M-coordinates of a member: the key of each kept mask with k
-    # middle blocks has coefficient q^k, which every placement carries.
-    # K keeps a mask with no member's two flags both set, L one with all
-    # of them set; the all-ones mask has no key.
+def _pattern_coords(kind: str, spec: SubsetSpec, q: int) -> Mapping[int, int]:
+    # V-free M-coordinates of a member: each kept mask E has coefficient
+    # q^k, k = n - popcount(E) its middle blocks, which every placement
+    # carries.  K keeps a mask with no member's two flags both set, L one
+    # with all of them set; the all-ones mask is no coordinate.
     n, bits = spec.n, _bits(spec.members)
     forced = _forced(bits)
     coords = {}
     for mask in range((2 << n) - 1):
         if (mask & mask >> 1 & bits) if kind == "K" else (mask & forced != forced):
             continue
-        key = _mask_key(mask, n)
-        coords[key] = q ** len(key[1])
+        coords[mask] = q ** (n - mask.bit_count())
     return MappingProxyType(coords)
 
 
@@ -202,8 +177,8 @@ def m_generic_monomial(spec: SubsetSpec, trunc: int) -> Optional[Monomial]:
     """
     if trunc < spec.n:
         raise TruncationError(f"need trunc >= {spec.n}, got {trunc}")
-    key = _mask_key(_forced(_bits(spec.members)), spec.n)
-    return None if key is None else _representative(key)
+    forced = _forced(_bits(spec.members))
+    return None if forced == (2 << spec.n) - 1 else _representative(forced, spec.n)
 
 
 def m_membership(m: Monomial, spec: SubsetSpec) -> bool:

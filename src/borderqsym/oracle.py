@@ -16,9 +16,9 @@ coefficient; L members and their products satisfy it, which is what
 makes the elimination in the basis module terminate at zero.  Relations
 and resolutions depend only on a monomial's equality mask, and the
 coefficient of a quasisymmetric series only on the monomial's bordered
-M-coordinate, so such a series is checked on its 2^(n+1) - 1 equality
-masks, reading each coefficient from the mask's coordinate (one cached
-key table per degree), instead of on every monomial of the slice.
+M-coordinate, which is that mask, so such a series is checked on its
+2^(n+1) - 1 equality masks, reading each coefficient at its mask,
+instead of on every monomial of the slice.
 The case-rule coefficient function recomputes degree-1 K product
 coefficients per variable, without ever multiplying series.
 """
@@ -36,10 +36,11 @@ from .core import (
     Series,
     TruncationError,
     _coordinates,
+    _mask,
     all_monomials,
     is_border,
 )
-from .families import SubsetSpec, _mask, _mask_key, _mask_keys, _representative
+from .families import SubsetSpec, _representative
 
 
 class RelationKind(Enum):
@@ -95,7 +96,7 @@ def resolve(m: Monomial, relation: ProblematicRelation, trunc: int) -> Monomial:
     """
     if relation not in problematic_relations(m):
         raise ValueError(f"{relation} is not a problematic relation of {m}")
-    out = _representative(_mask_key(_mask(m) & ~(1 << relation.position), m.degree))
+    out = _representative(_mask(m) & ~(1 << relation.position), m.degree)
     if out.max_natural() > trunc:
         raise TruncationError(f"resolution needs {out.max_natural()} naturals, trunc is {trunc}")
     return out
@@ -120,8 +121,8 @@ def check_spreading(f: Series) -> bool:
 
     A quasisymmetric f is swept by equality mask instead, without
     building a monomial: the relations come from the mask, a resolution
-    clears one bit, and every coefficient is read from the mask's
-    M-coordinate.  That is exact because a monomial's relations and
+    clears one bit, and every coefficient is read at the mask, which is
+    its M-coordinate.  That is exact because a monomial's relations and
     resolutions depend only on its mask, and its coefficient only on its
     coordinate; with V >= degree + 1 every coordinate has a placement, so
     none reads as zero by mistake.
@@ -135,15 +136,14 @@ def check_spreading(f: Series) -> bool:
         cases = ((_mask(m), f.coefficient(m)) for m in all_monomials(n, f.trunc))
 
         def resolved(mask: int) -> int:
-            return f.coefficient(_representative(_mask_key(mask, n)))
+            return f.coefficient(_representative(mask, n))
 
     else:
-        # the all-ones mask has no coordinate and no relation
-        keys = _mask_keys(n)
-        cases = ((mask, coords.get(key, 0)) for mask, key in enumerate(keys))
+        # the all-ones mask is no coordinate and has no relation
+        cases = ((mask, coords.get(mask, 0)) for mask in range(2 << n))
 
         def resolved(mask: int) -> int:
-            return coords.get(keys[mask], 0)
+            return coords.get(mask, 0)
 
     for mask, c in cases:
         for _, p in _relations(mask, n):

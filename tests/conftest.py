@@ -34,6 +34,21 @@ def group(degree, trunc, key, c):
     })
 
 
+def perturbations(series):
+    """Copies that stay quasisymmetric (scaled, one M-group added) and copies that do not."""
+    d, trunc = series.degree, series.trunc
+    out = [series.scale(3), series + group(d, trunc, (d, (), 0), 1)]
+    if d >= 2:
+        out.append(series + group(d, trunc, (0, (d - 1,), 1), -2))
+    terms = series.sorted_terms()
+    if terms:
+        m, c = terms[len(terms) // 2]
+        out.append(Series(d, trunc, {**series.terms, m: c + 1}))
+        out.append(Series(d, trunc, {k: v for k, v in terms if k != m}))
+    out.append(series + Series(d, trunc, {Monomial.from_indices((1,) * d): 1}))
+    return out
+
+
 # Child processes (``python -m borderqsym``) import the package from src/
 # as well, also when pytest itself found it through its pythonpath setting.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")

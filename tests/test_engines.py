@@ -23,8 +23,17 @@ them on demand.  The eager expansion that used to build them is kept
 here as a fourth reference; the view must list the same monomials in the
 same order, and every operation on such a series must answer as it does
 on a copy built from its monomials.
+
+Coordinate tables are keyed by equality mask, and the product
+quasi-shuffles words written as bitmasks.  The tuple coordinate
+(e0, word, e_inf) of a monomial and the quasi-shuffle of tuple words
+they replaced are kept here as references: the codec must agree with
+the one on every monomial to degree 6, and the bit-word quasi-shuffle
+with the other on every pair of words of total weight up to 10.  The
+references above read the library's tables through the tuple keys.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -54,8 +63,51 @@ from borderqsym import (
     relabel_check,
 )
 from borderqsym import basis, cli, core, families
-from conftest import BASES, group, member, mono, spec
-from test_patterns import reference_forced_equalities, reference_pattern_key
+from conftest import BASES, group, member, mono, perturbations, spec
+from test_patterns import reference_forced_equalities, reference_pattern_key, reference_representative, tuple_keyed
+
+def reference_key(m):
+    """The tuple M-coordinate of m: (e0, word of natural exponents, e_inf)."""
+    pairs = m.pairs
+    e0 = pairs[0][1] if pairs and pairs[0][0] == 0 else 0
+    einf = pairs[-1][1] if pairs and pairs[-1][0] == INF else 0
+    return (e0, tuple([e for _, e in pairs[e0 > 0:len(pairs) - (einf > 0)]]), einf)
+
+
+def reference_mask(key):
+    """The equality mask of a tuple coordinate: a block of size b sets b - 1 flags, then one clear."""
+    e0, word, einf = key
+    flags = []
+    for size in (e0 + 1, *word, einf + 1):
+        flags += [True] * (size - 1) + [False]
+    return sum(1 << i for i, equal in enumerate(flags[:-1]) if equal)
+
+
+def word_bits(word):
+    """A tuple word as the library's bit-word: letter k is k - 1 set bits, then a clear bit."""
+    bits, pos = 0, 0
+    for k in word:
+        bits |= (1 << k - 1) - 1 << pos
+        pos += k
+    return bits
+
+
+@functools.lru_cache(maxsize=None)
+def reference_quasi_shuffle(u, v):
+    """Hoffman's quasi-shuffle of two tuple words, as (word, multiplicity) pairs."""
+    if not u or not v:
+        return ((u + v, 1),)
+    out = {}
+    for head, rest in (
+        (u[0], reference_quasi_shuffle(u[1:], v)),
+        (v[0], reference_quasi_shuffle(u, v[1:])),
+        (u[0] + v[0], reference_quasi_shuffle(u[1:], v[1:])),
+    ):
+        for w, c in rest:
+            w = (head, *w)
+            out[w] = out.get(w, 0) + c
+    return tuple(out.items())
+
 
 def packed_terms(series):
     """Terms keyed by the exponent vector over the alphabet, 8 bits a variable."""
@@ -116,12 +168,13 @@ def reference_coordinate_walk(target, subset_order=None):
     order = list(all_subsets(d)) if subset_order is None else list(subset_order)
     coords = core._coordinates(target)
     if coords is None:
-        residual = {core._key(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
+        residual = {reference_key(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
     else:
-        residual = dict(coords)
+        residual = tuple_keyed(coords, d)
     coeffs = {}
     for s in order:
-        generic = reference_pattern_key(reference_forced_equalities(s))
+        forced = reference_forced_equalities(s)
+        generic = reference_pattern_key(forced)
         if generic is None:
             continue
         c = residual.get(generic, 0)
@@ -129,9 +182,9 @@ def reference_coordinate_walk(target, subset_order=None):
             continue
         divisor = 2 ** len(generic[1])
         if c % divisor:
-            raise NotDivisibleError(s, families._representative(generic), c, divisor)
+            raise NotDivisibleError(s, reference_representative(forced), c, divisor)
         k = c // divisor
-        for key, lc in families._pattern_coords("L", s, 2).items():
+        for key, lc in tuple_keyed(families._pattern_coords("L", s, 2), d).items():
             value = residual.get(key, 0) - k * lc
             if value:
                 residual[key] = value
@@ -249,19 +302,6 @@ class TestExhaustive:
                     check_relabel_agreement(perturbed)
                     if trunc >= s.n:
                         check_decompositions(perturbed)
-
-
-def perturbations(series):
-    """Copies with one coefficient bumped, one term dropped, or one term added."""
-    terms = series.sorted_terms()
-    out = []
-    if terms:
-        m, c = terms[len(terms) // 2]
-        out.append(Series(series.degree, series.trunc, {**series.terms, m: c + 1}))
-        out.append(Series(series.degree, series.trunc, {k: v for k, v in terms if k != m}))
-    extra = Monomial.from_indices((1,) * series.degree)
-    out.append(series + Series(series.degree, series.trunc, {extra: 1}))
-    return out
 
 
 @st.composite
@@ -408,7 +448,7 @@ def reference_expand(degree, trunc, coords):
     trusted = Monomial._trusted
     # cells[e] holds (i, e) for i = 0, 1, ..., V and then (INF, e)
     cells = [[*((i, e) for i in range(trunc + 1)), (INF, e)] for e in range(degree + 1)]
-    for key, c in coords.items():
+    for key, c in tuple_keyed(coords, degree).items():
         e0, word, einf = key
         if len(word) > trunc:
             continue
@@ -468,8 +508,9 @@ class TestTermsView:
                     check_view(product, coords)
                     if d <= 3:
                         # absent monomials too, x_{V+1} included
+                        keyed = tuple_keyed(coords, d)
                         assert {m: product.terms.get(m) for m in all_monomials(d, trunc + 1)} == {
-                            m: coords.get(core._key(m)) if m.max_natural() <= trunc else None
+                            m: keyed.get(reference_key(m)) if m.max_natural() <= trunc else None
                             for m in all_monomials(d, trunc + 1)
                         }
         assert len(seen) > 500
@@ -494,9 +535,10 @@ class TestTermsView:
         # the coordinates alone do not fix V
         assert k_series(spec(2, 1), 3) != k_series(spec(2, 1), 4)
         assert k_series(spec(0), 1) != k_series(spec(0), 2)
-        border = core._expand(2, 2, {(2, (), 0): 1})
-        assert border.terms == core._expand(2, 3, {(2, (), 0): 1}).terms
-        assert border != core._expand(2, 3, {(2, (), 0): 1})
+        x0_squared = reference_mask((2, (), 0))
+        border = core._expand(2, 2, {x0_squared: 1})
+        assert border.terms == core._expand(2, 3, {x0_squared: 1}).terms
+        assert border != core._expand(2, 3, {x0_squared: 1})
 
 
 @st.composite
@@ -649,7 +691,7 @@ def perturbed_products(draw):
     e0 = draw(st.integers(0, d))
     einf = draw(st.integers(0, d - e0))
     word = draw(st.sampled_from(compositions(d - e0 - einf)))
-    return product + c * core._expand(d, trunc, {(e0, word, einf): 1})
+    return product + c * core._expand(d, trunc, {reference_mask((e0, word, einf)): 1})
 
 
 @settings(max_examples=100, deadline=None)
@@ -661,8 +703,9 @@ def test_random_targets_match_the_coordinate_walk(target):
 class TestWalkEmulationPins:
     def test_not_divisible_after_earlier_subtractions(self):
         # x1^3 has coordinate 3 in the target; L_{} takes 2 of it first
-        target = k_series(spec(3), 3) + core._expand(3, 3, {(0, (3,), 0): 1})
-        assert core._coordinates(target)[(0, (3,), 0)] == 3
+        x1_cubed = reference_mask((0, (3,), 0))
+        target = k_series(spec(3), 3) + core._expand(3, 3, {x1_cubed: 1})
+        assert core._coordinates(target)[x1_cubed] == 3
         with pytest.raises(NotDivisibleError) as err:
             decompose_l(target)
         e = err.value
@@ -696,10 +739,44 @@ class TestWalkEmulationPins:
 
         monkeypatch.setattr(SubsetSpec, "__post_init__", refuse)
         for module in (families, basis):
-            for name in ("_forced", "_mask_key", "_mask_keys", "_pattern_coords"):
+            for name in ("_forced", "_split", "_pattern_coords", "all_subsets"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         assert [(decompose_l(p).coeffs, decompose_k(p).coeffs) for p in products] == expected
 
     def test_mask_tables_are_a_bounded_cache(self):
         assert basis._mask_table.cache_parameters()["maxsize"] is not None
+
+
+class TestMaskCodec:
+    """The mask keys and bit-words against the tuple coordinate and tuple words."""
+
+    def test_mask_and_split_match_the_tuple_key_to_degree_6(self):
+        for d in range(7):
+            for m in all_monomials(d, d + 1):
+                e0, word, einf = reference_key(m)
+                mask = core._mask(m)
+                assert mask == reference_mask((e0, word, einf)), m
+                assert core._split(mask, d) == (e0, word_bits(word), sum(word), einf), m
+                assert core._letters(word_bits(word), sum(word)) == list(word)
+
+    def test_bit_word_quasi_shuffle_to_total_weight_10(self):
+        # the output order is the tuple one's, so products list their
+        # coordinates in the same order
+        count = 0
+        for total in range(11):
+            for su in range(total + 1):
+                for u, v in itertools.product(compositions(su), compositions(total - su)):
+                    expected = [(word_bits(w), c) for w, c in reference_quasi_shuffle(u, v)]
+                    assert list(core._quasi_shuffle(word_bits(u), su, word_bits(v), total - su)) == expected
+                    count += 1
+        assert count == 6144
+
+    def test_degree_44_products_build_no_degree_table(self):
+        # two degree-22 factors at V = 1, as ``multiply --vars 1`` admits;
+        # a table of 2^(d+1) entries per output degree would not fit
+        keys = [(22, (), 0), (0, (), 22), (3, (19,), 0), (0, (1,), 21), (10, (2,), 10)]
+        a = core._expand(22, 1, {reference_mask(key): c for c, key in enumerate(keys, 1)})
+        b = core._expand(22, 1, {reference_mask(key): 1 for key in keys[::2]})
+        product = check_product(a, b)
+        assert product.degree == 44 and len(product.terms) == len(reference_product(a, b)) > 10

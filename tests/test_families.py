@@ -32,6 +32,13 @@ class TestSubsetSpec:
             SubsetSpec(2, frozenset({0}))
         with pytest.raises(ValueError):
             SubsetSpec(-1)
+        # bool is an int subclass, but no position
+        with pytest.raises(ValueError, match="n must be a nonnegative integer, got True"):
+            SubsetSpec(True)
+        with pytest.raises(ValueError, match=r"member True outside 1\.\.2"):
+            SubsetSpec(2, frozenset({True}))
+        with pytest.raises(ValueError, match=r"member False outside 1\.\.2"):
+            SubsetSpec(2, frozenset({False}))
 
     def test_parse_round_trip(self):
         s = SubsetSpec.parse(5, "1,2,4")

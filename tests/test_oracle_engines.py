@@ -36,7 +36,7 @@ from borderqsym import (
     resolve,
 )
 from borderqsym import core, oracle
-from conftest import BASES, group, member, mono, spec
+from conftest import BASES, member, mono, perturbations, spec
 
 @functools.lru_cache(maxsize=16)
 def slice_resolutions(degree, trunc):
@@ -89,21 +89,6 @@ def reference_rational_solve(columns, target):
     for row_idx, col in enumerate(pivots):
         solution[col] = rows[row_idx][ncols]
     return solution
-
-
-def perturbations(series):
-    """Copies that stay quasisymmetric (scaled, one M-group added) and copies that do not."""
-    d, trunc = series.degree, series.trunc
-    out = [series.scale(3), series + group(d, trunc, (d, (), 0), 1)]
-    if d >= 2:
-        out.append(series + group(d, trunc, (0, (d - 1,), 1), -2))
-    terms = series.sorted_terms()
-    if terms:
-        m, c = terms[len(terms) // 2]
-        out.append(Series(d, trunc, {**series.terms, m: c + 1}))
-        out.append(Series(d, trunc, {k: v for k, v in terms if k != m}))
-    out.append(series + Series(d, trunc, {Monomial.from_indices((1,) * d): 1}))
-    return out
 
 
 def check_spreading_agrees(series):

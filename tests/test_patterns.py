@@ -1,14 +1,16 @@
 """The bitmask encoding of equality patterns against the bool-tuple one, kept here.
 
 The library encodes the equality pattern of a padded index tuple as an
-int (bit i is the flag g_i = g_{i+1}), and writes each rule on it once:
-the M-coordinate of a mask, the forced mask of a subset, which masks a
-K or L member keeps, and a mask's problematic relations.  This file
-keeps the tuple-of-bools helpers those rules replaced, as references,
-and checks the library against them exhaustively on small degrees: the
-keys of every mask to degree 12, the masks and relations of every
-monomial to degree 6, the coordinates of every member to degree 9, and
-the spreading check on both of its branches against the flags sweep.
+int (bit i is the flag g_i = g_{i+1}), keys every M-coordinate table by
+it, and writes each rule on it once: the split of a mask into border
+runs and word, the forced mask of a subset, which masks a K or L member
+keeps, and a mask's problematic relations.  This file keeps the
+tuple-of-bools helpers those rules replaced, and the tuple coordinate
+(e0, word, e_inf) of a pattern, as references, and checks the library
+against them exhaustively on small degrees: the split of every mask to
+degree 12, the masks and relations of every monomial to degree 6, the
+coordinates of every member to degree 9, and the spreading check on
+both of its branches against the flags sweep.
 """
 
 import functools
@@ -26,8 +28,7 @@ from borderqsym import (
     problematic_relations,
 )
 from borderqsym import core, families, oracle
-from conftest import BASES, spec
-from test_oracle_engines import perturbations
+from conftest import BASES, perturbations, spec
 
 def reference_equality_pattern(m):
     """The flags g_i = g_{i+1}, i = 0..n, of m's padded nondecreasing tuple."""
@@ -46,6 +47,15 @@ def reference_pattern_key(pattern):
     if len(sizes) == 1:
         return None
     return (sizes[0] - 1, tuple(sizes[1:-1]), sizes[-1] - 1)
+
+
+def flags_of(mask, n):
+    return tuple(mask >> i & 1 == 1 for i in range(n + 1))
+
+
+def tuple_keyed(coords, n):
+    """Degree-n coordinates keyed by mask, rekeyed by the tuple coordinate of each mask's flags."""
+    return {reference_pattern_key(flags_of(mask, n)): c for mask, c in coords.items()}
 
 
 def reference_forced_equalities(s):
@@ -107,11 +117,12 @@ def reference_spreading(f):
             return f.coefficient(reference_representative(flags))
 
     else:
+        keyed = tuple_keyed(coords, f.degree)
         patterns = itertools.product((False, True), repeat=f.degree + 1)
-        cases = ((flags, coords.get(reference_pattern_key(flags), 0)) for flags in patterns)
+        cases = ((flags, keyed.get(reference_pattern_key(flags), 0)) for flags in patterns)
 
         def resolved(flags):
-            return coords.get(reference_pattern_key(flags), 0)
+            return keyed.get(reference_pattern_key(flags), 0)
 
     for flags, c in cases:
         for _, p in reference_relations(flags):
@@ -120,15 +131,18 @@ def reference_spreading(f):
     return True
 
 
-def flags_of(mask, n):
-    return tuple(mask >> i & 1 == 1 for i in range(n + 1))
-
-
 def test_keys_of_every_mask_to_degree_12():
+    # the split of every mask but the all-ones one, which has no key, and
+    # the split's round trip: border runs at both ends around the word
     for n in range(13):
-        expected = tuple(reference_pattern_key(flags_of(mask, n)) for mask in range(2 << n))
-        assert tuple(families._mask_key(mask, n) for mask in range(2 << n)) == expected
-        assert families._mask_keys(n) == expected
+        full = (2 << n) - 1
+        assert reference_pattern_key(flags_of(full, n)) is None
+        for mask in range(full):
+            e0, word, weight, einf = core._split(mask, n)
+            letters = core._letters(word, weight)
+            assert (e0, tuple(letters), einf) == reference_pattern_key(flags_of(mask, n)), (mask, n)
+            assert (e0 + weight + einf, len(letters)) == (n, n - mask.bit_count())
+            assert (1 << e0) - 1 | word << e0 + 1 | (1 << einf) - 1 << n + 1 - einf == mask
 
 
 def test_relations_of_every_mask_to_degree_12():
@@ -143,16 +157,17 @@ def test_forced_masks_and_representatives():
         for s in all_subsets(n):
             forced = families._forced(families._bits(s.members))
             assert flags_of(forced, n) == reference_forced_equalities(s)
-            key = families._mask_key(forced, n)
-            if key is not None:
-                assert families._representative(key) == reference_representative(flags_of(forced, n))
+            full = forced == (2 << n) - 1
+            assert full == (reference_pattern_key(flags_of(forced, n)) is None)
+            if not full:
+                assert families._representative(forced, n) == reference_representative(flags_of(forced, n))
 
 
 def test_masks_and_relations_of_every_monomial_to_degree_6():
     for d in range(7):
         for m in all_monomials(d, d + 1):
             flags = reference_equality_pattern(m)
-            assert flags_of(families._mask(m), d) == flags
+            assert flags_of(core._mask(m), d) == flags
             got = [(r.kind.value, r.position) for r in problematic_relations(m)]
             assert got == reference_relations(flags)
 
@@ -165,24 +180,23 @@ def test_member_coordinates_to_degree_9():
     for n in range(10):
         for s in all_subsets(n):
             for kind, q in BASES.items():
-                assert dict(build(kind[0], s, q)) == reference_member_coords(kind[0], s, q), (kind, s)
+                assert tuple_keyed(build(kind[0], s, q), n) == reference_member_coords(kind[0], s, q), (kind, s)
 
 
 def test_an_l_member_reads_one_key_per_kept_mask(monkeypatch):
-    calls = []
-    mask_key = families._mask_key
+    # each kept mask is its own key: building a member splits none
+    def refuse(*args):
+        raise AssertionError("mask split")
 
-    def counted(mask, n):
-        calls.append(mask)
-        return mask_key(mask, n)
-
-    monkeypatch.setattr(families, "_mask_key", counted)
+    monkeypatch.setattr(families, "_split", refuse)
+    monkeypatch.setattr(families, "_letters", refuse)
     s = spec(10, 2, 5, 9)
     coords = families._pattern_coords.__wrapped__("L", s, 2)
     forced = families._forced(families._bits(s.members))
     # the all-ones mask contains the forced mask but has no key
-    assert len(calls) == len(set(calls)) == len(coords) == 2 ** (11 - forced.bit_count()) - 1
-    assert all(mask & forced == forced for mask in calls)
+    assert len(coords) == 2 ** (11 - forced.bit_count()) - 1
+    assert all(mask & forced == forced for mask in coords)
+    assert all(c == 2 ** (10 - mask.bit_count()) for mask, c in coords.items())
 
 
 def test_spreading_matches_the_flags_sweep():
