@@ -97,12 +97,14 @@ class Decomposition:
     coeffs: dict[SubsetSpec, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 0:
+            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
         if self.basis not in ("K", "L"):
             raise ValueError(f"basis must be 'K' or 'L', got {self.basis!r}")
         for spec, c in self.coeffs.items():
             if spec.n != self.degree:
                 raise ValueError(f"{spec!r} does not live in degree {self.degree}")
-            if not isinstance(c, int) or c == 0:
+            if not isinstance(c, int) or isinstance(c, bool) or c == 0:
                 raise ValueError(f"coefficient of {spec!r} must be a nonzero integer, got {c!r}")
 
     @classmethod

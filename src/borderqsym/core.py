@@ -66,7 +66,7 @@ def is_border(i: Index) -> bool:
 
 
 def _check_index(i: Index) -> None:
-    if i == INF or (isinstance(i, int) and i >= 0):
+    if i == INF or (isinstance(i, int) and not isinstance(i, bool) and i >= 0):
         return
     raise ValueError(f"invalid variable index {i!r}")
 
@@ -99,7 +99,7 @@ class Monomial:
         items = dict(exponents)
         for i, e in items.items():
             _check_index(i)
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"exponent of {index_str(i)} must be a nonnegative integer, got {e!r}")
         self.pairs: tuple[tuple[Index, int], ...] = tuple(
             sorted((i, e) for i, e in items.items() if e > 0)
@@ -228,13 +228,13 @@ class Series:
     __slots__ = ("degree", "trunc", "terms", "_coords")
 
     def __init__(self, degree: int, trunc: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        if not isinstance(degree, int) or degree < 0:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-        if not isinstance(trunc, int) or trunc < 1:
+        if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
             raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
         clean: dict[Monomial, int] = {}
         for m, c in dict(terms).items():
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficient of {m} must be an integer, got {c!r}")
             if c == 0:
                 continue
@@ -319,7 +319,7 @@ class Series:
         Setting the extra variables to zero is a ring map, so restricting
         commutes with addition and multiplication.
         """
-        if not isinstance(trunc, int) or trunc < 1:
+        if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
             raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
         if trunc > self.trunc:
             raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")

@@ -128,10 +128,11 @@ def _pattern_coords(kind: str, spec: SubsetSpec, q: int) -> Mapping[int, int]:
     return MappingProxyType(coords)
 
 
-@lru_cache(maxsize=_MEMBER_CACHE)
+@lru_cache(maxsize=_MEMBER_CACHE, typed=True)
 def _family(kind: str, spec: SubsetSpec, trunc: int, q: int) -> Series:
-    # _expand builds a trusted series, which skips the constructor's check
-    if not isinstance(trunc, int) or trunc < 1:
+    # _expand builds a trusted series, which skips the constructor's check;
+    # the cache is typed, so that V = True misses the entry of V = 1
+    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
         raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
     return _expand(spec.n, trunc, _pattern_coords(kind, spec, q))
 
@@ -148,7 +149,7 @@ def l_series(spec: SubsetSpec, trunc: int) -> Series:
 
 def k_series_q(spec: SubsetSpec, trunc: int, q: int) -> Series:
     """The K member with coefficient base q in place of 2; q must be nonzero."""
-    if not isinstance(q, int) or q == 0:
+    if not isinstance(q, int) or isinstance(q, bool) or q == 0:
         raise ValueError(f"q must be a nonzero integer, got {q!r}")
     return _family("K", spec, trunc, q)
 

@@ -18,8 +18,6 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
 from borderqsym import (
     Decomposition,
     Series,

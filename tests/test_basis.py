@@ -7,7 +7,6 @@ import pytest
 
 from borderqsym import (
     Decomposition,
-    Monomial,
     NonzeroResidualError,
     NotDivisibleError,
     Series,
@@ -215,6 +214,15 @@ class TestDecompositionObject:
             Decomposition(2, "K", {spec(3): 1})
         with pytest.raises(ValueError):
             Decomposition(2, "K", {spec(2): 0})
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer, got -1"):
+            Decomposition(-1, "L", {})
+        # bool is an int subclass, but no degree or coefficient: to_json_obj would emit true
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer, got True"):
+            Decomposition(True, "K", {spec(1): 2})
+        with pytest.raises(ValueError, match="must be a nonzero integer, got True"):
+            Decomposition(1, "K", {spec(1): True})
+        with pytest.raises(ValueError, match="must be a nonzero integer, got True"):
+            Decomposition.from_json_obj({"degree": 1, "basis": "K", "terms": [{"set": [1], "coeff": True}]})
 
     def test_library_results_are_not_revalidated(self, monkeypatch):
         product = k_series(spec(3, 1), 7) * k_series(spec(4, 2, 3), 7)

@@ -20,6 +20,7 @@ from borderqsym import (
 )
 from borderqsym import core
 from conftest import mono, spec
+from reference import monomials_st
 
 
 class TestMonomial:
@@ -54,6 +55,13 @@ class TestMonomial:
             Monomial({-3: 1})
         with pytest.raises(ValueError):
             Monomial({1.5: 1})
+        # bool is an int subclass, but no index or exponent: xTrue^2 would not parse back
+        with pytest.raises(ValueError, match="invalid variable index True"):
+            Monomial({True: 2})
+        with pytest.raises(ValueError, match="invalid variable index False"):
+            Monomial({False: 1})
+        with pytest.raises(ValueError, match="exponent of x1 must be a nonnegative integer, got True"):
+            Monomial({1: True})
 
     def test_zero_exponents_are_dropped(self):
         assert Monomial({1: 0, 2: 3}) == Monomial({2: 3})
@@ -146,6 +154,15 @@ class TestSeriesBasics:
             Series(-1, 1)
         with pytest.raises(ValueError):
             Series(0, 0)
+        # bool is an int subclass, but no degree, V or coefficient
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer, got True"):
+            Series(True, 1)
+        with pytest.raises(ValueError, match="truncation must be a positive integer, got True"):
+            Series(1, True)
+        with pytest.raises(ValueError, match="coefficient of x1 must be an integer, got True"):
+            Series(1, 1, {mono("x1"): True})
+        with pytest.raises(ValueError, match="truncation must be a positive integer, got True"):
+            k_series(spec(2, 1), 3).restrict(True)
         assert Series(1, 1, {mono("x1"): 0}).is_zero()  # zero coefficients dropped
 
     def test_coefficient_lookup(self):
@@ -223,12 +240,6 @@ class TestRelabelCheck:
 
 
 # hypothesis material: small random series over a shared truncation
-
-def monomials_st(degree, trunc):
-    return st.lists(
-        st.sampled_from(alphabet(trunc)), min_size=degree, max_size=degree
-    ).map(lambda g: Monomial.from_indices(sorted(g)))
-
 
 @st.composite
 def series_st(draw, trunc, degree=None):

@@ -1,13 +1,14 @@
-"""The K and L constructors, generic monomials, and the special-monomial predicate."""
+"""The K and L constructors, generic monomials, and the special-monomial predicate.
 
-import itertools
+The members are checked against the definition read literally, the
+tuple filter of ``reference.py``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borderqsym import (
-    INF,
     Monomial,
     Series,
     SubsetSpec,
@@ -22,6 +23,7 @@ from borderqsym import (
     m_membership,
 )
 from conftest import mono, spec
+from reference import reference_forced_equalities, reference_member
 
 
 class TestSubsetSpec:
@@ -78,8 +80,10 @@ class TestKSeries:
         out = k_series(spec(0), 1)
         assert out == Series(0, 1, {Monomial(): 1})
 
-    @pytest.mark.parametrize("trunc", [0, -3])
+    @pytest.mark.parametrize("trunc", [0, -3, True])
     def test_truncation_below_one_rejected(self, trunc):
+        # True equals 1, but must not reach the cached member of V = 1
+        k_series(spec(2), 1), l_series(spec(2), 1)
         with pytest.raises(ValueError, match="truncation must be a positive integer"):
             k_series(spec(2), trunc)
         with pytest.raises(ValueError, match="truncation must be a positive integer"):
@@ -110,28 +114,10 @@ class TestSharedResults:
         assert {str(m): c for m, c in fresh.terms.items()} == {"x0": 1, "x1": 2, "xinf": 1}
 
 
-def _reference_member(kind, s, trunc, q):
-    # The definition read literally, independent of the library: filter
-    # every nondecreasing tuple over 0 < 1 < ... < V < inf by the
-    # equal-triple rule and weigh it by q to its count of distinct naturals.
-    letters = (0, *range(1, trunc + 1), INF)
-    terms = {}
-    for g in itertools.combinations_with_replacement(letters, s.n):
-        padded = (0, *g, INF)
-        inside = [padded[i - 1] == padded[i] == padded[i + 1] for i in s.members]
-        if (not any(inside)) if kind == "K" else all(inside):
-            counts = {}
-            for x in g:
-                counts[x] = counts.get(x, 0) + 1
-            naturals = sum(1 for x in counts if x not in (0, INF))
-            terms[Monomial(counts)] = q**naturals
-    return Series(s.n, trunc, terms)
-
-
 def _assert_matches_reference(s, trunc):
-    assert k_series(s, trunc) == _reference_member("K", s, trunc, 2)
-    assert l_series(s, trunc) == _reference_member("L", s, trunc, 2)
-    assert k_series_q(s, trunc, 3) == _reference_member("K", s, trunc, 3)
+    assert k_series(s, trunc) == reference_member("K", s, trunc, 2)
+    assert l_series(s, trunc) == reference_member("L", s, trunc, 2)
+    assert k_series_q(s, trunc, 3) == reference_member("K", s, trunc, 3)
 
 
 class TestAgainstTupleFilter:
@@ -192,6 +178,9 @@ class TestKSeriesQ:
     def test_zero_base_rejected(self):
         with pytest.raises(ValueError):
             k_series_q(spec(1), 1, 0)
+        # bool is an int subclass, but True would build the member of q = 1
+        with pytest.raises(ValueError, match="q must be a nonzero integer, got True"):
+            k_series_q(spec(1), 1, True)
 
 
 class TestLSpecial:
@@ -257,13 +246,6 @@ class TestGenericMonomials:
                     if other == base:
                         assert s in owners
 
-    @staticmethod
-    def _pattern_forces(lam, om):
-        # whether every triple required by lam is already forced equal by
-        # om's equality pattern
-        eq = [(i in om.members) or (i + 1 in om.members) for i in range(om.n + 1)]
-        return all(eq[i - 1] and eq[i] for i in lam.members)
-
     def test_containment_law(self):
         # an L member hits a generic monomial of another subset exactly when
         # that subset's pattern forces every triple the L member requires
@@ -278,7 +260,8 @@ class TestGenericMonomials:
                         m_membership(m, om) and ls.coefficient(m) != 0 for m in monos
                     )
                     nonempty = m_generic_monomial(om, max(v, n)) is not None
-                    assert hit == (nonempty and self._pattern_forces(lam, om)), (lam, om)
+                    forced = reference_forced_equalities(om)
+                    assert hit == (nonempty and all(forced[i - 1] and forced[i] for i in lam.members)), (lam, om)
                     # member containment and series equality each suffice
                     if nonempty and (lam.members <= om.members or ls == l_series(om, v)):
                         assert hit, (lam, om)

@@ -1,10 +1,12 @@
-"""Import hygiene: every name a library module imports is used there.
+"""Import hygiene: every name a library or test module imports is used there.
 
 No linter runs on this tree, so an import left behind by a refactor
 would go unnoticed.  A name counts as used when the module reads it
 (annotations included) or lists it in ``__all__``.  Likewise no test
-module may define again a helper that ``conftest.py`` shares, and the
-mask codec of M-coordinates is defined once, in ``core.py``.
+module may define again a helper that ``conftest.py`` or
+``reference.py`` shares, or import from another test module;
+``reference.py`` holds no test, since pytest would not collect it; and
+the mask codec of M-coordinates is defined once, in ``core.py``.
 """
 
 import ast
@@ -14,6 +16,13 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 MODULES = sorted((TESTS.parent / "src" / "borderqsym").glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("test_*.py"))
+# the modules whose top level the test modules share
+SHARED = [TESTS / "conftest.py", TESTS / "reference.py"]
+
+
+def parsed(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def imported_names(tree):
@@ -26,6 +35,14 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
 def exported_names(tree):
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
@@ -33,9 +50,9 @@ def exported_names(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = parsed(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used | exported_names(tree)]
     assert unused == [], f"{path.name} imports {unused} without using them"
@@ -49,12 +66,26 @@ def defined_names(nodes):
             yield from (t.id for t in node.targets if isinstance(t, ast.Name))
 
 
-@pytest.mark.parametrize("path", sorted(TESTS.glob("test_*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
 def test_no_copy_of_a_shared_helper(path):
-    # what conftest.py shares is its top level, not the locals of its helpers
-    shared = set(defined_names(ast.parse((TESTS / "conftest.py").read_text()).body))
-    copies = sorted(shared.intersection(defined_names(ast.walk(ast.parse(path.read_text(), filename=str(path))))))
-    assert copies == [], f"{path.name} defines {copies}, which conftest.py already provides"
+    # what conftest.py and reference.py share is their top level, not the
+    # locals of their helpers
+    shared = {name for home in SHARED for name in defined_names(parsed(home).body)}
+    copies = sorted(shared.intersection(defined_names(ast.walk(parsed(path)))))
+    assert copies == [], f"{path.name} defines {copies}, which conftest.py or reference.py already provides"
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_no_test_module_imports_another(path):
+    others = {p.stem for p in TEST_MODULES}
+    imported = sorted(others.intersection(imported_modules(parsed(path))))
+    assert imported == [], f"{path.name} imports from {imported}; shared helpers belong in reference.py"
+
+
+def test_the_references_define_no_test():
+    names = defined_names(ast.walk(parsed(TESTS / "reference.py")))
+    tests = [name for name in names if name.startswith(("test", "Test"))]
+    assert tests == [], f"reference.py is not collected, so {tests} would never run"
 
 
 # The codec between M-coordinates, keyed by equality mask, and their
@@ -66,7 +97,7 @@ def test_the_mask_codec_lives_in_core():
     homes = sorted(
         (name, path.name)
         for path in MODULES
-        for name in defined_names(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        for name in defined_names(ast.walk(parsed(path)))
         if name in CODEC
     )
     assert homes == sorted((name, "core.py") for name in CODEC)

@@ -5,8 +5,6 @@ import random
 import pytest
 
 from borderqsym import (
-    INF,
-    Monomial,
     ProblematicRelation,
     RelationKind,
     Series,

@@ -1,31 +1,24 @@
-"""The oracles on M-coordinates against their monomial forms, kept here.
+"""The oracles on M-coordinates against their monomial forms in ``reference.py``.
 
-``check_spreading`` sweeps equality patterns and ``rational_solve`` has
-one equation per M-coordinate whenever their inputs are quasisymmetric.
-This file keeps the monomial sweep over the whole truncated slice and
-the ``Fraction`` Gauss-Jordan solver with one equation per monomial as
-references, and requires equal answers on family products, on
-combinations of members, and on perturbed copies that are and are not
-quasisymmetric.  It also pins that the coordinate paths are taken and
-build no monomial, that an expanded series shares its (index, exponent)
-pairs, and that the relation rule, now read off equality masks, agrees
-with the rule read off exponents.
+``check_spreading`` sweeps equality patterns, and ``rational_solve`` has
+one equation per M-coordinate, whenever their inputs are quasisymmetric.
+They must answer as the sweep of the whole slice (``test_patterns.py``
+checks the flags sweep on the same products), and as the ``Fraction``
+solver with one equation per monomial, on products, combinations of
+members and perturbed copies, quasisymmetric or not; the problematic
+relations of every small monomial must follow the exponent rule.  This
+file also pins that the coordinate paths are taken and build no
+monomial, and that an expanded series shares its (index, exponent) pairs.
 """
-
-import functools
-import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borderqsym import (
-    INF,
     Monomial,
     Series,
     SubsetSpec,
-    all_monomials,
     all_subsets,
     check_spreading,
     k_series,
@@ -33,67 +26,23 @@ from borderqsym import (
     l_series,
     problematic_relations,
     rational_solve,
-    resolve,
 )
 from borderqsym import core, oracle
 from conftest import BASES, member, mono, perturbations, spec
-
-@functools.lru_cache(maxsize=16)
-def slice_resolutions(degree, trunc):
-    """Each monomial of the slice that has problematic relations, with its resolutions."""
-    out = []
-    for m in all_monomials(degree, trunc):
-        relations = problematic_relations(m)
-        if relations:
-            out.append((m, [resolve(m, relation, trunc) for relation in relations]))
-    return out
-
-
-def reference_spreading(f):
-    """Every monomial of the slice: each resolution must double its coefficient."""
-    return all(
-        2 * f.coefficient(m) == f.coefficient(resolved)
-        for m, resolutions in slice_resolutions(f.degree, f.trunc)
-        for resolved in resolutions
-    )
-
-
-def reference_rational_solve(columns, target):
-    """Gauss-Jordan over Fraction, one equation per monomial; free variables at zero."""
-    monomials = sorted(set(itertools.chain(target.terms, *(c.terms for c in columns))), key=Monomial.sort_key)
-    rows = [
-        [Fraction(c.coefficient(m)) for c in columns] + [Fraction(target.coefficient(m))]
-        for m in monomials
-    ]
-    ncols = len(columns)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    if any(row[ncols] != 0 for row in rows[r:]):
-        return None
-    solution = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        solution[col] = rows[row_idx][ncols]
-    return solution
+from reference import (
+    member_product,
+    reference_exponent_relations,
+    reference_flags_spreading,
+    reference_rational_solve,
+    reference_slice_spreading,
+    small_monomials,
+    spreading_cases,
+)
 
 
 def check_spreading_agrees(series):
-    expected = reference_spreading(series)
-    assert check_spreading(series) == expected
+    expected = reference_slice_spreading(series)
+    assert check_spreading(series) == reference_flags_spreading(series) == expected
     return expected
 
 
@@ -103,23 +52,21 @@ def check_solve_agrees(columns, target):
     return expected
 
 
+def test_relations_match_the_exponent_rule():
+    for m in small_monomials():
+        assert [(r.kind.value, r.position) for r in problematic_relations(m)] == reference_exponent_relations(m), m
+
+
 class TestSpreadingAgainstTheSweep:
     def test_products_and_their_perturbations(self):
-        # Products commute, so each unordered pair once.  Perturbed copies
-        # that are not quasisymmetric take the library's monomial sweep,
-        # about 30 ms each at degree 5, so every fourth product is perturbed
-        # below that degree and every 16th at it.
-        products, perturbed = set(), set()
-        for build in (k_series, l_series):
-            for d in range(6):
-                factors = [s for n in range(d + 1) for s in all_subsets(n)]
-                pairs = [(a, b) for i, a in enumerate(factors) for b in factors[i:] if a.n + b.n == d]
-                for count, (a, b) in enumerate(pairs):
-                    product = build(a, d + 1) * build(b, d + 1)
-                    products.add(check_spreading_agrees(product))
-                    if count % (4 if d < 5 else 16) == 0:
-                        perturbed.update(map(check_spreading_agrees, perturbations(product)))
-        assert products == {True} and perturbed == {True, False}
+        # against the sweep of the whole slice; perturbed copies that are
+        # not quasisymmetric take the monomial branch of the library
+        answers = {False: set(), True: set()}
+        for f, perturbed in spreading_cases():
+            expected = reference_slice_spreading(f)
+            assert check_spreading(f) == expected, f
+            answers[perturbed].add(expected)
+        assert answers == {False: {True}, True: {True, False}}
 
     def test_quasisymmetric_violation_and_zero(self):
         square_sum = Series(2, 3, {mono(t): 1 for t in ("x1^2", "x2^2", "x3^2")})
@@ -136,9 +83,8 @@ class TestRationalSolveAgainstTheFractionSolver:
             for d in range(5):
                 for trunc in sorted({max(d, 1), d + 1}):
                     columns = [member(kind, s, trunc) for s in all_subsets(d)]
-                    products = [member(kind, a, trunc) * member(kind, b, trunc)
-                                for n in range(d + 1) for a in all_subsets(n) for b in all_subsets(d - n)]
-                    targets = products[:: 20 if d == 4 else 1]
+                    pairs = [(a, b) for n in range(d + 1) for a in all_subsets(n) for b in all_subsets(d - n)]
+                    targets = [member_product(kind, a, kind, b, trunc) for a, b in pairs[:: 20 if d == 4 else 1]]
                     targets += [Series.zero(d, trunc), *perturbations(targets[-1])]
                     for target in targets:
                         outcomes.add(check_solve_agrees(columns, target) is None)
@@ -163,7 +109,7 @@ def systems(draw):
     columns = [member(kind, s, trunc) for s in draw(st.lists(subsets(d), min_size=1, max_size=8))]
     n = draw(st.integers(0, d))
     a, b = draw(subsets(n)), draw(subsets(d - n))
-    target = member(kind, a, trunc) * member(kind, b, trunc)
+    target = member_product(kind, a, kind, b, trunc)
     for column in columns:
         target = target + column.scale(draw(st.integers(-2, 2)))
     shape = draw(st.sampled_from(["as is", "quasisymmetric", "not quasisymmetric"]))
@@ -232,23 +178,3 @@ def test_expanded_pairs_are_shared():
     for m in k_series(spec(4, 2), 5).terms:
         for pair in m.pairs:
             assert seen.setdefault(pair, pair) is pair
-
-
-def reference_relations(m):
-    """The relation rule read off exponents: a lone border, a natural squared."""
-    t = (0, *m.indices(), INF)
-    out = []
-    if m.exponent(0) == 1:
-        out.append(("border_zero", 0))
-    for i, e in m.pairs:
-        if i != 0 and i != INF and e == 2:
-            out.append(("interior_square", t.index(i)))
-    if m.exponent(INF) == 1:
-        out.append(("border_inf", m.degree))
-    return sorted(out, key=lambda r: r[1])
-
-
-def test_relations_match_the_exponent_rule():
-    for d in range(7):
-        for m in all_monomials(d, d + 1):
-            assert [(r.kind.value, r.position) for r in problematic_relations(m)] == reference_relations(m)
