@@ -207,10 +207,32 @@ class Monomial:
 
 
 def all_monomials(degree: int, trunc: int) -> Iterator[Monomial]:
-    """Every degree-d monomial over the alphabet at truncation V."""
+    """Every degree-d monomial over the alphabet at truncation V.
+
+    In the order of ``itertools.combinations_with_replacement`` over the
+    alphabet: each index takes its exponents in descending order, and the
+    pairs are built directly, each one tuple from a per-call table.
+    """
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     trusted = Monomial._trusted
-    for g in itertools.combinations_with_replacement(alphabet(trunc), degree):
-        yield trusted(tuple((i, len(list(run))) for i, run in itertools.groupby(g)), degree)
+    # cells[p][e] is the pair (index p of the alphabet, e)
+    cells = [[(i, e) for e in range(degree + 1)] for i in alphabet(trunc)]
+    last = len(cells) - 1
+
+    def fill(first: int, left: int, prefix: tuple) -> Iterator[Monomial]:
+        # the monomials extending prefix by left more factors on indices from first on
+        for p in range(first, last + 1):
+            column = cells[p]
+            yield trusted(prefix + (column[left],), degree)
+            if p < last:
+                for e in range(left - 1, 0, -1):
+                    yield from fill(p + 1, left - e, prefix + (column[e],))
+
+    if degree:
+        yield from fill(0, degree, ())
+    else:
+        yield trusted((), 0)
 
 
 class Series:

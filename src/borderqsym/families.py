@@ -20,7 +20,8 @@ depends only on the mask, and the mask is itself the bordered
 M-coordinate of the core module, which keys every coordinate table.
 So each member is first built V-free, as the map from its kept masks to
 q^(number of middle blocks), n - popcount(E), and then expanded to its
-monomials at V by the core's one placement loop.  Generic monomials,
+monomials at V by the core's one placement loop; below V = n only the
+masks whose words fit in V are built.  Generic monomials,
 the decomposition's mask tables and the oracle's relations and
 resolutions read the same mask rules here.
 
@@ -112,16 +113,30 @@ def _representative(mask: int, n: int) -> Monomial:
     return Monomial(zip((0, *range(1, len(letters) + 1), INF), (e0, *letters, einf), strict=True))
 
 
+def _masks(n: int, letters: Optional[int]) -> Iterable[int]:
+    # Every mask of degree n but the all-ones one, in numeric order; with
+    # letters given, only those of at most that many letters, built from
+    # their at most letters + 1 clear bits without visiting the others
+    # (K_{20,{}} at V = 1 keeps 231 of 2^21 masks).
+    full = (2 << n) - 1
+    if letters is None:
+        return range(full)
+    bits = [1 << b for b in range(n + 1)]
+    return sorted(full - sum(clear) for k in range(1, letters + 2) for clear in itertools.combinations(bits, k))
+
+
 @lru_cache(maxsize=_MEMBER_CACHE)
-def _pattern_coords(kind: str, spec: SubsetSpec, q: int) -> Mapping[int, int]:
+def _pattern_coords(kind: str, spec: SubsetSpec, q: int, letters: Optional[int] = None) -> Mapping[int, int]:
     # V-free M-coordinates of a member: each kept mask E has coefficient
     # q^k, k = n - popcount(E) its middle blocks, which every placement
     # carries.  K keeps a mask with no member's two flags both set, L one
-    # with all of them set; the all-ones mask is no coordinate.
+    # with all of them set; the all-ones mask is no coordinate.  With
+    # letters = V < n, only the keys of words that fit in V, in the same
+    # order: the others have no placement.
     n, bits = spec.n, _bits(spec.members)
     forced = _forced(bits)
     coords = {}
-    for mask in range((2 << n) - 1):
+    for mask in _masks(n, letters):
         if (mask & mask >> 1 & bits) if kind == "K" else (mask & forced != forced):
             continue
         coords[mask] = q ** (n - mask.bit_count())
@@ -131,9 +146,12 @@ def _pattern_coords(kind: str, spec: SubsetSpec, q: int) -> Mapping[int, int]:
 @lru_cache(maxsize=_MEMBER_CACHE, typed=True)
 def _family(kind: str, spec: SubsetSpec, trunc: int, q: int) -> Series:
     # _expand builds a trusted series, which skips the constructor's check;
-    # the cache is typed, so that V = True misses the entry of V = 1
+    # the cache is typed, so that V = True misses the entry of V = 1.  At
+    # V >= n every key fits, and the table is the one reconstruct reads.
     if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
         raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
+    if trunc < spec.n:
+        return _expand(spec.n, trunc, _pattern_coords(kind, spec, q, trunc))
     return _expand(spec.n, trunc, _pattern_coords(kind, spec, q))
 
 

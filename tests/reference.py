@@ -6,10 +6,11 @@ patterns as tuples of bools with their tuple coordinates (e0, word,
 e_inf), the monomial convolution, the quasi-shuffle of tuple words, the
 L walks on monomials and on M-coordinates, the group-and-count
 quasisymmetry test, the eager expansion of coordinates, and the
-monomial forms of both oracles.  ``member_product`` multiplies each pair
-of members once per session; ``small_monomials`` and ``spreading_cases``
-are corpora that more than one test sweeps; ``product_keys`` draws a
-random pair, and ``monomials_st`` a random monomial.
+monomial forms of both oracles and of the case rule.  ``member_product``
+multiplies each pair of members once per session; ``small_monomials``,
+``mask_cases`` and ``spreading_cases`` are corpora that more than one
+test sweeps; ``product_keys`` draws a random pair, and ``monomials_st``
+a random monomial.
 
 pytest does not collect this module, and ``test_imports.py`` checks
 that it holds no test and that no test module copies its names.
@@ -396,6 +397,33 @@ def reference_exponent_relations(m):
     return sorted(out, key=lambda r: r[1])
 
 
+def reference_k1_coefficient(mono, right):
+    """The case rule monomial by monomial: each variable's removal from the monomial's own tuple."""
+    if mono.degree != right.n + 1:
+        raise ValueError(f"degree mismatch: monomial has {mono.degree}, expected {right.n + 1}")
+    return sum(weight for weight, triples in reference_k1_removals(mono) if triples.isdisjoint(right.members))
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def reference_k1_removals(mono):
+    """(case-table weight, positions inside an equal triple) of the tuple of mono / x_i, for each x_i of mono.
+
+    The weight is M for a border or an exponent-1 natural and 2M for a
+    higher natural exponent, M = 2^(distinct naturals of mono); the K
+    member of a subset keeps the removal iff no member is such a position.
+    Cached, so that a sweep over every right subset reads each monomial once.
+    """
+    big_m = 2 ** mono.distinct_naturals()
+    g = mono.indices()
+    out = []
+    for i, e in mono.pairs:
+        at = g.index(i)
+        padded = (0, *g[:at], *g[at + 1:], INF)
+        triples = frozenset(p for p in range(1, len(padded) - 1) if padded[p - 1] == padded[p] == padded[p + 1])
+        out.append((big_m if i in (0, INF) or e == 1 else 2 * big_m, triples))
+    return tuple(out)
+
+
 def reference_rational_solve(columns, target):
     """Gauss-Jordan over Fraction, one equation per monomial; free variables at zero."""
     monomials = sorted(set(itertools.chain(target.terms, *(c.terms for c in columns))), key=Monomial.sort_key)
@@ -443,6 +471,17 @@ def member_product(kind_a, a, kind_b, b, trunc):
 def small_monomials():
     """Every monomial of degree d <= 6 at V = d + 1, built once per session."""
     return tuple(m for d in range(7) for m in all_monomials(d, d + 1))
+
+
+@functools.lru_cache(maxsize=1)
+def mask_cases():
+    """(n, mask, tuple key, flag relations) of every mask of degree n <= 12, built once per session."""
+    return tuple(
+        (n, mask, reference_pattern_key(flags), reference_flag_relations(flags))
+        for n in range(13)
+        for mask in range(2 << n)
+        for flags in (flags_of(mask, n),)
+    )
 
 
 @functools.lru_cache(maxsize=1)

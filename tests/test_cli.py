@@ -221,6 +221,9 @@ def test_selftest_passes(run):
     assert payload["ok"] is True
     assert len(payload["results"]) == 5
     assert all(r["ok"] for r in payload["results"])
+    # each suite's wall time, a field added beside the others
+    assert all(set(r) == {"name", "ok", "detail", "seconds"} for r in payload["results"])
+    assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in payload["results"])
 
 
 def test_oversized_request_refused_promptly(run):

@@ -212,6 +212,15 @@ def test_all_monomials_match_their_index_tuples():
             assert [(m.pairs, m.degree) for m in out] == [(m.pairs, m.degree) for m in expected]
 
 
+def test_all_monomials_at_degree_7_and_0():
+    # the pairs built directly against the index tuples, in their order
+    for d, v in ((7, 7), (0, 1), (0, 4)):
+        expected = [Monomial.from_indices(g) for g in itertools.combinations_with_replacement(alphabet(v), d)]
+        out = list(all_monomials(d, v))
+        assert [(m.pairs, m.degree) for m in out] == [(m.pairs, m.degree) for m in expected]
+        assert len(out) == math.comb(v + 1 + d, d)
+
+
 def test_alphabet_order():
     assert alphabet(3) == (0, 1, 2, 3, INF)
     with pytest.raises(ValueError):

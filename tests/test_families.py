@@ -22,6 +22,7 @@ from borderqsym import (
     m_generic_monomial,
     m_membership,
 )
+from borderqsym import families
 from conftest import mono, spec
 from reference import reference_forced_equalities, reference_member
 
@@ -134,6 +135,35 @@ class TestAgainstTupleFilter:
         trunc = data.draw(st.integers(max(n, 1), n + 2))
         members = data.draw(st.sets(st.integers(1, n))) if n else set()
         _assert_matches_reference(spec(n, *members), trunc)
+
+
+class TestBelowTheDegree:
+    # at V < n a member builds only the masks whose words fit in V
+    def test_tables_are_the_filtered_full_table(self):
+        # in the full table's order; the cache is bypassed, so that these
+        # 6,138 tables evict nothing
+        build = families._pattern_coords.__wrapped__
+        for n in range(10):
+            for s in all_subsets(n):
+                for kind in "KL":
+                    for q in (2, 3, -2):
+                        full = list(build(kind, s, q).items())
+                        for v in range(1, n):
+                            fitting = [(mask, c) for mask, c in full if n - mask.bit_count() <= v]
+                            assert list(build(kind, s, q, v).items()) == fitting, (kind, s, q, v)
+
+    def test_members_match_the_tuple_filter(self):
+        for n in range(2, 6):
+            for trunc in range(1, n):
+                for s in all_subsets(n):
+                    _assert_matches_reference(s, trunc)
+
+    def test_a_member_at_v_n_reads_the_table_of_reconstruct(self):
+        s = spec(11, 4, 8)
+        families._family.__wrapped__("K", s, 11, 2)
+        before = families._pattern_coords.cache_info()
+        families._pattern_coords("K", s, 2)
+        assert families._pattern_coords.cache_info().hits == before.hits + 1
 
 
 class TestLSeries:

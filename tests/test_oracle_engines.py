@@ -6,9 +6,11 @@ They must answer as the sweep of the whole slice (``test_patterns.py``
 checks the flags sweep on the same products), and as the ``Fraction``
 solver with one equation per monomial, on products, combinations of
 members and perturbed copies, quasisymmetric or not; the problematic
-relations of every small monomial must follow the exponent rule.  This
-file also pins that the coordinate paths are taken and build no
-monomial, and that an expanded series shares its (index, exponent) pairs.
+relations of every small monomial must follow the exponent rule.  The
+case rule, evaluated once per exponent pattern, must give every
+monomial the value of its per-monomial form.  This file also pins that
+the coordinate paths are taken and build no monomial, and that an
+expanded series shares its (index, exponent) pairs.
 """
 
 import pytest
@@ -16,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borderqsym import (
+    INF,
     Monomial,
     Series,
     SubsetSpec,
+    all_monomials,
     all_subsets,
     check_spreading,
+    k1_coefficient,
     k_series,
     k_series_q,
     l_series,
@@ -30,9 +35,11 @@ from borderqsym import (
 from borderqsym import core, oracle
 from conftest import BASES, member, mono, perturbations, spec
 from reference import (
+    compositions,
     member_product,
     reference_exponent_relations,
     reference_flags_spreading,
+    reference_k1_coefficient,
     reference_rational_solve,
     reference_slice_spreading,
     small_monomials,
@@ -122,6 +129,43 @@ def systems(draw):
 @given(systems())
 def test_random_systems_agree_with_the_fraction_solver(system):
     check_solve_agrees(*system)
+
+
+@st.composite
+def pattern_pairs(draw):
+    """Two monomials of one exponent pattern, each on its own naturals of 1..9, and a right subset."""
+    d = draw(st.integers(1, 8))
+    e0 = draw(st.integers(0, d))
+    einf = draw(st.integers(0, d - e0))
+    word = draw(st.sampled_from(compositions(d - e0 - einf)))
+    placements = st.lists(st.integers(1, 9), min_size=len(word), max_size=len(word), unique=True).map(sorted)
+    a, b = (Monomial(zip((0, *draw(placements), INF), (e0, *word, einf))) for _ in range(2))
+    members = draw(st.sets(st.integers(1, d - 1))) if d > 1 else set()
+    return a, b, SubsetSpec(d - 1, frozenset(members))
+
+
+class TestCaseRuleAgainstTheMonomialForm:
+    def test_every_monomial_to_degree_7(self):
+        # every monomial of degree d at V = d + 1, against every right subset
+        for d in range(1, 8):
+            rights = list(all_subsets(d - 1))
+            for m in all_monomials(d, d + 1):
+                assert [k1_coefficient(m, r) for r in rights] == [reference_k1_coefficient(m, r) for r in rights], m
+
+    @settings(max_examples=200, deadline=None)
+    @given(pattern_pairs())
+    def test_one_pattern_on_sparse_naturals_is_one_entry(self, case):
+        # e.g. x2*x7^2 and x1*x4^2: the second call hits the entry of the first
+        a, b, right = case
+        assert k1_coefficient(a, right) == reference_k1_coefficient(a, right)
+        before = oracle._k1_case.cache_info()
+        assert k1_coefficient(b, right) == reference_k1_coefficient(b, right)
+        after = oracle._k1_case.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_the_cache_is_bounded(self):
+        maxsize = oracle._k1_case.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize == oracle._CASE_CACHE
 
 
 class TestCoordinatePathsAreTaken:

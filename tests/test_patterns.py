@@ -7,10 +7,11 @@ runs and word, the forced mask of a subset, which masks a K or L member
 keeps, and a mask's problematic relations.  The tuple-of-bools helpers
 those rules replaced, and the flags sweep of ``check_spreading``, are
 references in ``reference.py``.  This file checks the library against
-them exhaustively on small degrees: the split of every mask to degree
-12, the mask and relations of every monomial to degree 6, the
-coordinates of every member to degree 9, and ``check_spreading`` on the
-products of ``reference.spreading_cases``.
+them exhaustively on small degrees: the split and the relations of
+every mask to degree 12 (one corpus, ``reference.mask_cases``), the
+mask and relations of every monomial to degree 6, the coordinates of
+every member to degree 9, and ``check_spreading`` on the products of
+``reference.spreading_cases``.
 """
 
 from borderqsym import all_subsets, check_spreading, problematic_relations
@@ -18,6 +19,7 @@ from borderqsym import core, families, oracle
 from conftest import BASES, spec
 from reference import (
     flags_of,
+    mask_cases,
     reference_equality_pattern,
     reference_flag_relations,
     reference_flags_spreading,
@@ -34,22 +36,20 @@ from reference import (
 def test_keys_of_every_mask_to_degree_12():
     # the split of every mask but the all-ones one, which has no key, and
     # the split's round trip: border runs at both ends around the word
-    for n in range(13):
-        full = (2 << n) - 1
-        assert reference_pattern_key(flags_of(full, n)) is None
-        for mask in range(full):
-            e0, word, weight, einf = core._split(mask, n)
-            letters = core._letters(word, weight)
-            assert (e0, tuple(letters), einf) == reference_pattern_key(flags_of(mask, n)), (mask, n)
-            assert (e0 + weight + einf, len(letters)) == (n, n - mask.bit_count())
-            assert (1 << e0) - 1 | word << e0 + 1 | (1 << einf) - 1 << n + 1 - einf == mask
+    for n, mask, key, _ in mask_cases():
+        if mask == (2 << n) - 1:
+            assert key is None
+            continue
+        e0, word, weight, einf = core._split(mask, n)
+        letters = core._letters(word, weight)
+        assert (e0, tuple(letters), einf) == key, (mask, n)
+        assert (e0 + weight + einf, len(letters)) == (n, n - mask.bit_count())
+        assert (1 << e0) - 1 | word << e0 + 1 | (1 << einf) - 1 << n + 1 - einf == mask
 
 
 def test_relations_of_every_mask_to_degree_12():
-    for n in range(13):
-        for mask in range(2 << n):
-            got = [(kind.value, p) for kind, p in oracle._relations(mask, n)]
-            assert got == reference_flag_relations(flags_of(mask, n)), (mask, n)
+    for n, mask, _, relations in mask_cases():
+        assert [(kind.value, p) for kind, p in oracle._relations(mask, n)] == relations, (mask, n)
 
 
 def test_forced_masks_and_representatives():
