@@ -4,7 +4,14 @@ The package constructs the subset-indexed families, multiplies members,
 decomposes any in-span product back onto either family with integer
 coefficients, expands degree-1 K products through shuffle peak sets, and
 ships independent verifiers for all of it.  See the README for the CLI.
+
+The verifier modules :mod:`~borderqsym.oracle` and
+:mod:`~borderqsym.shuffle` load on first use: their names, and the
+modules themselves, resolve through the module ``__getattr__`` (PEP 562),
+so importing the package, as every CLI request does, compiles neither.
 """
+
+import importlib
 
 from .basis import (
     Decomposition,
@@ -37,18 +44,37 @@ from .families import (
     m_generic_monomial,
     m_membership,
 )
-from .oracle import (
-    ProblematicRelation,
-    RelationKind,
-    check_spreading,
-    k1_coefficient,
-    problematic_relations,
-    resolve,
-    resolve_all,
-)
-from .shuffle import gp, k1_product, multiset_counts, multiset_json_obj, shuffles, string_form
 
 __version__ = "0.1.0"
+
+# The public names of each module that loads on first use.
+_LAZY = {
+    "oracle": (
+        "ProblematicRelation",
+        "RelationKind",
+        "check_spreading",
+        "k1_coefficient",
+        "problematic_relations",
+        "resolve",
+        "resolve_all",
+    ),
+    "shuffle": ("gp", "k1_product", "multiset_counts", "multiset_json_obj", "shuffles", "string_form"),
+}
+
+
+def __getattr__(name):
+    for home, names in _LAZY.items():
+        if name == home or name in names:
+            module = importlib.import_module(f".{home}", __name__)
+            if name == home:
+                return module  # the import bound it here already
+            value = globals()[name] = getattr(module, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *__all__})
 
 __all__ = [
     "INF",

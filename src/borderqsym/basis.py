@@ -47,15 +47,16 @@ decomposition above, so agreement between the two is meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import add, sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Monomial, Series, TruncationError, _coordinates, _expand, _mask
 from .families import SubsetSpec, _bits, _forced, _pattern_coords, _representative, all_subsets
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NotDivisibleError(ArithmeticError):
@@ -83,18 +84,22 @@ class NonzeroResidualError(ValueError):
         super().__init__(f"nonzero residual: coefficient {coefficient} of {witness}")
 
 
-@dataclass
 class Decomposition:
     """An integer combination of same-degree K or L members.
 
     ``coeffs`` maps each participating subset to its nonzero integer
     coefficient; reconstructing the combination at any V >= degree
-    reproduces the decomposed series exactly.
+    reproduces the decomposed series exactly.  Equal when degree, basis
+    and coefficients are; unhashable, since ``coeffs`` is a dict.
     """
 
-    degree: int
-    basis: str
-    coeffs: dict[SubsetSpec, int] = field(default_factory=dict)
+    __slots__ = ("degree", "basis", "coeffs")
+
+    def __init__(self, degree: int, basis: str, coeffs: Optional[dict[SubsetSpec, int]] = None):
+        self.degree = degree
+        self.basis = basis
+        self.coeffs = {} if coeffs is None else coeffs
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 0:
@@ -116,6 +121,16 @@ class Decomposition:
         dec.basis = basis
         dec.coeffs = coeffs
         return dec
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.degree, self.basis, self.coeffs) == (other.degree, other.basis, other.coeffs)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Decomposition(degree={self.degree!r}, basis={self.basis!r}, coeffs={self.coeffs!r})"
 
     def sorted_items(self) -> list[tuple[SubsetSpec, int]]:
         return sorted(self.coeffs.items(), key=lambda sc: sc[0].size_lex_key())
@@ -353,6 +368,9 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
     for i in range(r, len(rows)):
         if rows[i][ncols] != 0:
             return None
+    # imported here, so that no request that skips this cross-check loads fractions and decimal
+    from fractions import Fraction
+
     solution = [Fraction(0)] * ncols
     for row, col in zip(rows, pivots):
         solution[col] = Fraction(row[ncols], row[col])

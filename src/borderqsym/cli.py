@@ -8,10 +8,13 @@ order, so parsing and re-serializing is byte-identical).  Exit codes:
 A request whose monomial slice C(V + d + 1, d) at output degree d
 exceeds 10^7 is refused up front with exit 1, and so is one that would
 build a member of degree n with more than 10^7 equality patterns,
-2^(n + 1), whatever V is.  A --vars below 1 is refused with exit 1 by
-every command that takes it.  ``selftest --json`` gives each suite's
-wall time in a ``seconds`` field beside ``name``, ``ok`` and ``detail``;
-the human-readable lines carry no time.
+2^(n + 1), whatever V is.  shuffle-formula spells out m + 1 shuffles of
+m + 1 letters, so it refuses (m + 1)^2 above 10^7, that is m >= 3162,
+with exit 1 as well.  A --vars below 1 is refused with exit 1 by every
+command that takes it.  ``selftest --json`` gives each suite's wall time
+in a ``seconds`` field beside ``name``, ``ok`` and ``detail``; the
+human-readable lines carry no time.  The verifiers (spreading, peak
+sets, selftest) load only for the commands that run them.
 """
 
 from __future__ import annotations
@@ -21,15 +24,14 @@ import json
 import math
 import sys
 import time
-import traceback
 from typing import Optional, Sequence
 
 from .basis import NonzeroResidualError, NotDivisibleError, decompose_k, decompose_l
 from .core import Series
 from .families import SubsetSpec, k_series, k_series_q, l_series
-from .oracle import check_spreading
-from .shuffle import gp, k1_product, multiset_counts, multiset_json_obj
-from .verify import SUITES, q_square_in_span
+
+# The commands that run the oracle, shuffle and verify modules import them
+# themselves, so that no other request loads them.
 
 
 def dump_json(obj) -> str:
@@ -147,6 +149,15 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_shuffle_formula(args) -> int:
     spec = SubsetSpec.parse(args.m, args.set)
+    # the expansion spells out m + 1 shuffles of m + 1 letters each
+    size = (spec.n + 1) ** 2
+    if size > _SLICE_LIMIT:
+        raise ValueError(
+            f"m {spec.n} expands to {spec.n + 1} shuffles of {spec.n + 1} letters, "
+            f"{size} letters in all, above the limit of {_SLICE_LIMIT}"
+        )
+    from .shuffle import k1_product, multiset_counts, multiset_json_obj
+
     specs = k1_product(spec)
     if args.json:
         sys.stdout.write(dump_json(multiset_json_obj(specs)))
@@ -157,6 +168,8 @@ def _cmd_shuffle_formula(args) -> int:
 
 
 def _cmd_gp(args) -> int:
+    from .shuffle import gp
+
     spec = gp(args.string)
     if args.json:
         sys.stdout.write(dump_json({"n": spec.n, "set": list(spec.members_sorted())}))
@@ -166,6 +179,8 @@ def _cmd_gp(args) -> int:
 
 
 def _cmd_check_spreading(args) -> int:
+    from .oracle import check_spreading
+
     product = _product(args, extra_vars=1)
     ok = check_spreading(product)
     if args.json:
@@ -179,6 +194,8 @@ def _cmd_check_spreading(args) -> int:
 def _cmd_check_q(args) -> int:
     if args.q == 0:
         raise ValueError("q must be nonzero")
+    from .verify import q_square_in_span
+
     in_span = q_square_in_span(args.q)
     if args.json:
         sys.stdout.write(dump_json({"q": args.q, "in_span": in_span}))
@@ -190,6 +207,8 @@ def _cmd_check_q(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .verify import SUITES
+
     results = []
     all_ok = True
     for name, suite in SUITES:
@@ -270,6 +289,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,6 @@ L family.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
@@ -46,12 +45,18 @@ from .core import INF, Monomial, Series, TruncationError, _expand, _letters, _ma
 _MEMBER_CACHE = 1024
 
 
-@dataclass(frozen=True)
 class SubsetSpec:
-    """A subset of [n] together with its ambient n."""
+    """A subset of [n] together with its ambient n.
 
-    n: int
-    members: frozenset[int] = frozenset()
+    Immutable and hashable; two specs are equal when n and the members are.
+    """
+
+    __slots__ = ("n", "members")
+
+    def __init__(self, n: int, members: frozenset[int] = frozenset()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self):
         # bool is an int subclass, but True is not a position
@@ -84,6 +89,24 @@ class SubsetSpec:
 
     def __lt__(self, other: "SubsetSpec") -> bool:
         return (self.n, *self.size_lex_key()) < (other.n, *other.size_lex_key())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.members == other.members
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; slot state would meet __setattr__
+        return SubsetSpec, (self.n, self.members)
 
     def __repr__(self) -> str:
         return f"SubsetSpec({self.n}, {{{self.member_text()}}})"

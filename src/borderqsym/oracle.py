@@ -34,7 +34,6 @@ module's masks, which the product it cross-checks is keyed by.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable
@@ -59,18 +58,40 @@ class RelationKind(Enum):
     BORDER_INF = "border_inf"
 
 
-@dataclass(frozen=True)
 class ProblematicRelation:
     """One equality that keeps a monomial from being special.
 
     ``position`` is the pair index i, 0 <= i <= n, of the equality
     g_i = g_{i+1} in the padded tuple (g_0, ..., g_{n+1}): 0 for a lone
     x0, n for a lone xinf, and the left slot of the equal natural pair
-    for an interior square.
+    for an interior square.  Immutable and hashable.
     """
 
-    kind: RelationKind
-    position: int
+    __slots__ = ("kind", "position")
+
+    def __init__(self, kind: RelationKind, position: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "position", position)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.position == other.position
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.position))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ProblematicRelation, (self.kind, self.position)
+
+    def __repr__(self) -> str:
+        return f"ProblematicRelation(kind={self.kind!r}, position={self.position!r})"
 
 
 def _relations(mask: int, n: int) -> list[tuple[RelationKind, int]]:

@@ -207,6 +207,14 @@ class TestDecompositionObject:
         }
         assert Decomposition.from_json_obj(obj) == dec
 
+    def test_an_unhashable_value(self):
+        dec = Decomposition(2, "L", {spec(2, 1): -2})
+        assert dec == Decomposition(2, "L", {spec(2, 1): -2}) != Decomposition(2, "K", {spec(2, 1): -2})
+        assert Decomposition(3, "K") == Decomposition(3, "K", {})
+        assert repr(dec) == "Decomposition(degree=2, basis='L', coeffs={SubsetSpec(2, {1}): -2})"
+        with pytest.raises(TypeError):
+            hash(dec)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Decomposition(2, "M", {})

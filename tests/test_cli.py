@@ -283,3 +283,50 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "{1}\n"
+
+
+def test_shuffle_formula_refuses_a_quadratic_expansion_promptly(run):
+    # m + 1 shuffles of m + 1 letters each: (m + 1)^2 above 10^7 from m = 3162 on
+    for m, size in (("1000000", "1000002000001"), ("3162", "10004569")):
+        start = time.perf_counter()
+        code, out, err = run("shuffle-formula", "--m", m)
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        assert size in err and "10000000" in err
+
+
+# Runs one request in a child without site, so that no .pth hook of the
+# environment loads a module first, and reports every module it loaded.
+PROBE = """
+import sys
+from borderqsym.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(" ".join(sys.modules))
+sys.exit(code)
+"""
+
+
+def modules_loaded_by(*argv):
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_the_cold_path_stays_cold():
+    # a decomposition request needs none of these, and each costs import time
+    loaded = modules_loaded_by("decompose", "--basis", "K", "--left", "K:3:1", "--right", "K:4:2,3", "--json")
+    assert "borderqsym.basis" in loaded
+    cold = {"dataclasses", "inspect", "fractions", "traceback",
+            "borderqsym.oracle", "borderqsym.shuffle", "borderqsym.verify"}
+    assert sorted(cold & loaded) == []
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (("check-spreading", "--left", "L:2:1", "--right", "L:3:2", "--json"), {"borderqsym.oracle"}),
+    (("shuffle-formula", "--m", "3", "--set", "1,3", "--json"), {"borderqsym.shuffle"}),
+    (("check-q", "--q", "2", "--json"), {"borderqsym.verify", "fractions"}),
+    (("selftest", "--json"), {"borderqsym.verify", "borderqsym.oracle", "borderqsym.shuffle"}),
+])
+def test_each_verifier_command_loads_what_it_runs(argv, needs):
+    assert needs <= modules_loaded_by(*argv)

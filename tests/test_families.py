@@ -4,6 +4,9 @@ The members are checked against the definition read literally, the
 tuple filter of ``reference.py``.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +57,19 @@ class TestSubsetSpec:
             SubsetSpec.parse(5, "2,1")
         with pytest.raises(ValueError):
             SubsetSpec.parse(5, "1,1")
+
+    def test_an_immutable_hashable_value(self):
+        s = spec(4, 1, 3)
+        assert s == SubsetSpec(4, frozenset({3, 1})) and hash(s) == hash(spec(4, 3, 1))
+        assert s != spec(4, 1) and s != spec(5, 1, 3) and s != (4, frozenset({1, 3}))
+        assert repr(s) == "SubsetSpec(4, {1,3})"
+        with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+            s.n = 5
+        with pytest.raises(AttributeError, match="cannot delete field 'members'"):
+            del s.members
+        assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
+        # members given as any iterable are stored as a frozenset
+        assert SubsetSpec(4, [3, 1]).members == frozenset({1, 3})
 
     def test_all_subsets_size_then_lex(self):
         got = [s.members_sorted() for s in all_subsets(3)]

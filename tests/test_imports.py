@@ -5,14 +5,21 @@ would go unnoticed.  A name counts as used when the module reads it
 (annotations included) or lists it in ``__all__``.  Likewise no test
 module may define again a helper that ``conftest.py`` or
 ``reference.py`` shares, or import from another test module;
-``reference.py`` holds no test, since pytest would not collect it; and
-the mask codec of M-coordinates is defined once, in ``core.py``.
+``reference.py`` holds no test, since pytest would not collect it; the
+mask codec of M-coordinates is defined once, in ``core.py``; no library
+module imports ``dataclasses``; and the package's table of names that
+load on first use agrees with their modules and with ``__all__``.
 """
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import borderqsym
 
 TESTS = Path(__file__).resolve().parent
 MODULES = sorted((TESTS.parent / "src" / "borderqsym").glob("*.py"))
@@ -101,3 +108,44 @@ def test_the_mask_codec_lives_in_core():
         if name in CODEC
     )
     assert homes == sorted((name, "core.py") for name in CODEC)
+
+
+def test_no_library_module_imports_dataclasses():
+    # dataclasses pulls inspect, ast, dis and tokenize into every CLI request
+    users = [path.name for path in MODULES if "dataclasses" in imported_modules(parsed(path))]
+    assert users == []
+
+
+def test_the_lazy_table_matches_the_modules_and_all():
+    for home, names in borderqsym._LAZY.items():
+        module = importlib.import_module(f"borderqsym.{home}")
+        assert [name for name in names if not hasattr(module, name)] == [], home
+        assert [name for name in names if name not in borderqsym.__all__] == [], home
+
+
+# Checks the package's public names in a fresh interpreter, where nothing
+# has imported the modules that load on first use.
+FRESH = """
+import sys
+import borderqsym
+assert "borderqsym.oracle" not in sys.modules and "borderqsym.shuffle" not in sys.modules
+assert borderqsym.oracle.check_spreading is borderqsym.check_spreading
+assert borderqsym.shuffle.gp is borderqsym.gp
+for name in borderqsym.__all__:
+    getattr(borderqsym, name)
+namespace = {}
+exec("from borderqsym import *", namespace)
+assert set(borderqsym.__all__) <= set(namespace)
+assert set(borderqsym.__all__) <= set(dir(borderqsym))
+try:
+    borderqsym.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+
+
+def test_lazy_names_keep_the_public_api_whole():
+    proc = subprocess.run([sys.executable, "-c", FRESH], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

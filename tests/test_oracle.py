@@ -1,5 +1,6 @@
 """Relation analysis, resolutions, the spreading check, and the case-rule coefficients."""
 
+import pickle
 import random
 
 import pytest
@@ -31,6 +32,15 @@ class TestProblematicRelations:
     def test_lone_border_zero(self):
         out = problematic_relations(mono("x0*x2^3"))
         assert out == (ProblematicRelation(RelationKind.BORDER_ZERO, 0),)
+
+    def test_an_immutable_hashable_value(self):
+        r = ProblematicRelation(RelationKind.BORDER_INF, 4)
+        assert r == ProblematicRelation(RelationKind.BORDER_INF, 4) != ProblematicRelation(RelationKind.BORDER_INF, 3)
+        assert hash(r) == hash(ProblematicRelation(RelationKind.BORDER_INF, 4))
+        assert repr(r) == "ProblematicRelation(kind=<RelationKind.BORDER_INF: 'border_inf'>, position=4)"
+        with pytest.raises(AttributeError, match="cannot assign to field 'position'"):
+            r.position = 0
+        assert pickle.loads(pickle.dumps(r)) == r
 
     def test_special_monomial_has_none(self):
         assert problematic_relations(mono("x0^3*x1^3*x4*x6^5*xinf^2")) == ()
