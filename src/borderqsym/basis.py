@@ -24,11 +24,11 @@ Möbius-transformed over masks into g (Rota 1964): the residual at F is
 2^mid(F) times the sum of g over the masks inside F, plus r(F), and
 subtracting k times the member lowers g(F) by k and changes nothing
 else.  The coefficients, their order and every error field are
-therefore the walk's, for any subset order.  The subsets and their
-forced masks are built once per degree.  The witness of a nonzero
-residual is the smallest monomial of the target minus the
-reconstruction of what was found; a target that is not quasisymmetric
-always leaves one.
+therefore those of the walk in its one order, by size and then
+lexicographically.  The subsets and their forced masks are built once
+per degree.  The witness of a nonzero residual is the smallest
+monomial of the target minus the reconstruction of what was found; a
+target that is not quasisymmetric always leaves one.
 :func:`decompose_k` turns the L coefficients into K coefficients by one
 signed superset sum over subset bitmasks, and :func:`reconstruct` sums
 member coordinates and expands once.
@@ -50,9 +50,9 @@ import math
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
-from .core import Monomial, Series, TruncationError, _coordinates, _expand, _mask
+from .core import Monomial, Series, TruncationError, _check_trunc, _coordinates, _expand, _mask
 from .families import SubsetSpec, _bits, _forced, _pattern_coords, _representative, all_subsets
 
 if TYPE_CHECKING:
@@ -173,7 +173,7 @@ def l_from_k(spec: SubsetSpec) -> Decomposition:
 
 
 # Entries of the mask table cache, one per degree.  A table holds the 2^d
-# subsets, listed in the default order with their forced masks and by
+# subsets, listed in the walk's order with their forced masks and by
 # bitmask: 3.5 MB at degree 12 (the command line's largest
 # decomposition) and 14 MB at 14; the benchmark decomposes at degrees 0
 # to 7.
@@ -187,7 +187,7 @@ class _MaskTable(NamedTuple):
     subset is an equality mask (bit j is the flag g_j = g_{j+1}).
     """
 
-    order: tuple       # (SubsetSpec, forced mask) in the default subset order
+    order: tuple       # (SubsetSpec, forced mask) by size, then lexicographically
     specs: tuple       # subset bitmask -> the same SubsetSpec
 
 
@@ -219,25 +219,16 @@ def _subset_passes(values: list[int], passes: int, mobius: bool) -> None:
                 values[lo] = map(add, values[lo], values[hi])
 
 
-def _validate_order(order: Sequence[SubsetSpec], degree: int) -> None:
-    sizes = [len(s.members) for s in order]
-    if sizes != sorted(sizes):
-        raise ValueError("subset order must be nondecreasing in size")
-    if sorted(s.members_sorted() for s in order) != sorted(s.members_sorted() for s in _mask_table(degree).specs):
-        raise ValueError(f"subset order must cover every subset of [{degree}] exactly once")
-    if any(s.n != degree for s in order):
-        raise ValueError(f"every subset must have n = {degree}")
-
-
-def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = None) -> Decomposition:
+def decompose_l(target: Series) -> Decomposition:
     """Decompose a series in the span onto the L family.
 
-    The order in which same-size subsets are processed only affects which
-    of several coinciding L members absorbs a coefficient, never the
-    reconstruction; the default order (size, then lexicographic) makes
-    the output canonical.  Raises :class:`NotDivisibleError` or
-    :class:`NonzeroResidualError` for targets outside the span and
-    :class:`TruncationError` when trunc < degree.
+    The walk takes the subsets in one order, by size and then
+    lexicographically, which makes the output canonical.  Another order
+    within a size would only change which of several coinciding L
+    members absorbs a coefficient, never the reconstruction.  Raises
+    :class:`NotDivisibleError` or :class:`NonzeroResidualError` for
+    targets outside the span and :class:`TruncationError` when
+    trunc < degree.
 
     The walk is emulated (see the module docstring).  The coefficient at
     each mask E is split as 2^mid(E) q(E) + r(E), 0 <= r(E) < 2^mid(E),
@@ -251,13 +242,7 @@ def decompose_l(target: Series, subset_order: Optional[Iterable[SubsetSpec]] = N
     d = target.degree
     if target.trunc < d:
         raise TruncationError(f"need trunc >= degree {d}, got {target.trunc}")
-    table = _mask_table(d)
-    if subset_order is None:
-        order: Sequence[tuple[SubsetSpec, int]] = table.order
-    else:
-        specs = list(subset_order)
-        _validate_order(specs, d)
-        order = [(spec, _forced(_bits(spec.members))) for spec in specs]
+    order = _mask_table(d).order
     coords = _coordinates(target)
     read = coords
     if coords is None:
@@ -323,6 +308,7 @@ def reconstruct(dec: Decomposition, trunc: int) -> Series:
     """Evaluate the combination at truncation V >= degree."""
     if trunc < dec.degree:
         raise TruncationError(f"need trunc >= degree {dec.degree}, got {trunc}")
+    _check_trunc(trunc)
     coords: dict[int, int] = {}
     for spec, c in dec.coeffs.items():
         for key, v in _pattern_coords(dec.basis, spec, 2).items():

@@ -43,22 +43,19 @@ def dump_json(obj) -> str:
 _SLICE_LIMIT = 10**7
 
 
-def _check_size(degree: int, trunc: int) -> None:
-    # runs before any enumeration; the constructors reject trunc < 1 themselves
-    size = math.comb(max(trunc, 0) + degree + 1, degree)
+def _refuse_above_limit(size: int, what: str) -> None:
     if size > _SLICE_LIMIT:
-        raise ValueError(
-            f"degree {degree} at vars {trunc} spans {size} monomials, above the limit of {_SLICE_LIMIT}"
-        )
+        raise ValueError(f"{what}, above the limit of {_SLICE_LIMIT}")
 
 
-def _check_members(*degrees: int) -> None:
-    # building a member enumerates all its equality patterns, at any V
-    for n in degrees:
-        if 2 << n > _SLICE_LIMIT:
-            raise ValueError(
-                f"a degree-{n} member has {2 << n} equality patterns, above the limit of {_SLICE_LIMIT}"
-            )
+def _check_request(degree: int, trunc: int, *members: int) -> None:
+    # runs before any enumeration: the output's monomial slice, then the
+    # equality patterns each member enumerates at any V; the constructors
+    # reject trunc < 1 themselves
+    size = math.comb(max(trunc, 0) + degree + 1, degree)
+    _refuse_above_limit(size, f"degree {degree} at vars {trunc} spans {size} monomials")
+    for n in members:
+        _refuse_above_limit(2 << n, f"a degree-{n} member has {2 << n} equality patterns")
 
 
 class _UsageError(Exception):
@@ -107,8 +104,7 @@ def _emit_series(series: Series, as_json: bool) -> None:
 def _cmd_kseries(args) -> int:
     spec = SubsetSpec.parse(args.n, args.set)
     trunc = args.vars if args.vars is not None else max(args.n, 1)
-    _check_size(args.n, trunc)
-    _check_members(args.n)
+    _check_request(args.n, trunc, args.n)
     _emit_series(k_series_q(spec, trunc, args.q), args.json)
     return 0
 
@@ -116,8 +112,7 @@ def _cmd_kseries(args) -> int:
 def _cmd_lseries(args) -> int:
     spec = SubsetSpec.parse(args.n, args.set)
     trunc = args.vars if args.vars is not None else max(args.n, 1)
-    _check_size(args.n, trunc)
-    _check_members(args.n)
+    _check_request(args.n, trunc, args.n)
     _emit_series(l_series(spec, trunc), args.json)
     return 0
 
@@ -126,8 +121,7 @@ def _product(args, extra_vars: int = 0) -> Series:
     kind_l, spec_l = parse_factor(args.left)
     kind_r, spec_r = parse_factor(args.right)
     trunc = args.vars if args.vars is not None else max(spec_l.n + spec_r.n + extra_vars, 1)
-    _check_size(spec_l.n + spec_r.n, trunc)
-    _check_members(spec_l.n, spec_r.n)
+    _check_request(spec_l.n + spec_r.n, trunc, spec_l.n, spec_r.n)
     return _factor_series(kind_l, spec_l, trunc) * _factor_series(kind_r, spec_r, trunc)
 
 
@@ -151,11 +145,9 @@ def _cmd_shuffle_formula(args) -> int:
     spec = SubsetSpec.parse(args.m, args.set)
     # the expansion spells out m + 1 shuffles of m + 1 letters each
     size = (spec.n + 1) ** 2
-    if size > _SLICE_LIMIT:
-        raise ValueError(
-            f"m {spec.n} expands to {spec.n + 1} shuffles of {spec.n + 1} letters, "
-            f"{size} letters in all, above the limit of {_SLICE_LIMIT}"
-        )
+    _refuse_above_limit(
+        size, f"m {spec.n} expands to {spec.n + 1} shuffles of {spec.n + 1} letters, {size} letters in all"
+    )
     from .shuffle import k1_product, multiset_counts, multiset_json_obj
 
     specs = k1_product(spec)

@@ -75,10 +75,14 @@ def index_str(i: Index) -> str:
     return "xinf" if i == INF else f"x{i}"
 
 
+def _check_trunc(trunc: int) -> None:
+    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
+        raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
+
+
 def alphabet(trunc: int) -> tuple[Index, ...]:
     """All indices available at truncation V, in increasing order."""
-    if trunc < 1:
-        raise ValueError("truncation must be at least 1")
+    _check_trunc(trunc)
     return (0, *range(1, trunc + 1), INF)
 
 
@@ -252,8 +256,7 @@ class Series:
     def __init__(self, degree: int, trunc: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-        if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
-            raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
+        _check_trunc(trunc)
         clean: dict[Monomial, int] = {}
         for m, c in dict(terms).items():
             if not isinstance(c, int) or isinstance(c, bool):
@@ -308,7 +311,7 @@ class Series:
         return _expand(self.degree, self.trunc, {key: c for key, c in out.items() if c})
 
     def scale(self, c: int) -> "Series":
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise ValueError(f"scale factor must be an integer, got {c!r}")
         coords = _coordinates(self)
         if coords is None:
@@ -341,8 +344,7 @@ class Series:
         Setting the extra variables to zero is a ring map, so restricting
         commutes with addition and multiplication.
         """
-        if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
-            raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
+        _check_trunc(trunc)
         if trunc > self.trunc:
             raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
         coords = _coordinates(self)

@@ -37,7 +37,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .core import INF, Monomial, Series, TruncationError, _expand, _letters, _mask, _split, is_natural
+from .core import INF, Monomial, Series, TruncationError, _check_trunc, _expand, _letters, _mask, _split, is_natural
 
 # Entries of each member cache.  The largest working set of any benchmark
 # workload is about 500 members (closure: every K and L member of degree
@@ -171,8 +171,7 @@ def _family(kind: str, spec: SubsetSpec, trunc: int, q: int) -> Series:
     # _expand builds a trusted series, which skips the constructor's check;
     # the cache is typed, so that V = True misses the entry of V = 1.  At
     # V >= n every key fits, and the table is the one reconstruct reads.
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
-        raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
+    _check_trunc(trunc)
     if trunc < spec.n:
         return _expand(spec.n, trunc, _pattern_coords(kind, spec, q, trunc))
     return _expand(spec.n, trunc, _pattern_coords(kind, spec, q))

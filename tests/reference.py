@@ -7,10 +7,10 @@ e_inf), the monomial convolution, the quasi-shuffle of tuple words, the
 L walks on monomials and on M-coordinates, the group-and-count
 quasisymmetry test, the eager expansion of coordinates, and the
 monomial forms of both oracles and of the case rule.  ``member_product``
-multiplies each pair of members once per session; ``small_monomials``,
-``mask_cases`` and ``spreading_cases`` are corpora that more than one
-test sweeps; ``product_keys`` draws a random pair, and ``monomials_st``
-a random monomial.
+multiplies each pair of members once per session; ``kind_products``,
+``small_monomials``, ``mask_cases`` and ``spreading_cases`` are corpora
+that more than one test sweeps; ``product_keys`` draws a random pair,
+and ``monomials_st`` a random monomial.
 
 pytest does not collect this module, and ``test_imports.py`` checks
 that it holds no test and that no test module copies its names.
@@ -242,8 +242,10 @@ def reference_coordinate_walk(target, subset_order=None):
 
     Reads the residual at the key of the subset's forced pattern, checks
     it is divisible by 2^(middle blocks), and subtracts that multiple of
-    the whole V-free L member from the residual.  The library's
-    decomposition must answer exactly as this does, for any valid order.
+    the whole V-free L member from the residual.  In the default order,
+    by size and then lexicographically, the library's decomposition must
+    answer exactly as this does; another order within a size must fail
+    where it fails and otherwise reconstruct the target.
     """
     d = target.degree
     if target.trunc < d:
@@ -283,10 +285,10 @@ def reference_coordinate_walk(target, subset_order=None):
     return found
 
 
-def walk_outcome(decompose, target, *order):
+def walk_outcome(decompose, target):
     """The coefficients in insertion order, or the error's type and every field."""
     try:
-        dec = decompose(target, *order)
+        dec = decompose(target)
     except NotDivisibleError as err:
         return ("not divisible", err.spec, err.monomial, err.coefficient, err.divisor, str(err))
     except NonzeroResidualError as err:
@@ -465,6 +467,16 @@ KIND_PAIRS = [("K", "K"), ("K", "L"), ("L", "L"), ("K3", "K3"), ("K-2", "K-2")]
 def member_product(kind_a, a, kind_b, b, trunc):
     """The product of two members at V, multiplied once per session."""
     return member(kind_a, a, trunc) * member(kind_b, b, trunc)
+
+
+def kind_products(degree, every=1):
+    """Every product (or every n-th) of two members of total degree d at V = d, for each pair of kinds."""
+    trunc = max(degree, 1)
+    keys = ((ka, left, kb, right, trunc)
+            for a in range(degree + 1) for left in all_subsets(a) for right in all_subsets(degree - a)
+            for ka, kb in KIND_PAIRS)
+    for key in itertools.islice(keys, None, None, every):
+        yield member_product(*key)
 
 
 @functools.lru_cache(maxsize=1)

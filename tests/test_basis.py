@@ -1,5 +1,6 @@
 """Change of basis, product decomposition, and the exact linear-solve cross-check."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,8 +23,9 @@ from borderqsym import (
     rational_solve,
     reconstruct,
 )
-from borderqsym import basis
+from borderqsym import basis, core
 from conftest import mono, spec
+from reference import kind_products, reference_coordinate_walk
 
 
 class TestInclusionExclusion:
@@ -133,27 +135,46 @@ class TestDecomposeL:
             decompose_l(target)
 
     def test_order_within_a_size_does_not_change_the_series(self):
-        product = l_series(spec(2, 1), 4) * l_series(spec(2), 4)
-        canonical = reconstruct(decompose_l(product), 4)
+        # the reference walk, each size class shuffled, fails exactly where
+        # the library fails and otherwise rebuilds the same product
         rng = random.Random(7)
-        for _ in range(3):
-            order = []
-            for size in range(5):
-                block = [s for s in all_subsets(4) if len(s.members) == size]
-                rng.shuffle(block)
-                order.extend(block)
-            shuffled = decompose_l(product, subset_order=order)
-            assert reconstruct(shuffled, 4) == canonical == product
+        outcomes = []
+        for degree in range(6):
+            for product in kind_products(degree, 3):
+                order = sorted(all_subsets(degree), key=lambda s: (len(s.members), rng.random()))
+                try:
+                    dec = decompose_l(product)
+                except (NotDivisibleError, NonzeroResidualError):
+                    with pytest.raises((NotDivisibleError, NonzeroResidualError)):
+                        reference_coordinate_walk(product, order)
+                    outcomes.append("raised")
+                else:
+                    assert reconstruct(dec, product.trunc) == product
+                    assert reconstruct(reference_coordinate_walk(product, order), product.trunc) == product
+                    outcomes.append("ok")
+        assert (len(outcomes), outcomes.count("raised")) == (537, 215)
 
-    def test_bad_subset_orders_rejected(self):
-        product = l_series(spec(1), 2) * l_series(spec(1), 2)
-        descending = sorted(all_subsets(2), key=lambda s: -len(s.members))
-        with pytest.raises(ValueError):
-            decompose_l(product, subset_order=descending)
-        with pytest.raises(ValueError):
-            decompose_l(product, subset_order=list(all_subsets(2))[:-1])
-        with pytest.raises(ValueError):
-            decompose_l(product, subset_order=list(all_subsets(3)))
+    def test_span_dimension_counts_words_without_an_isolated_one(self):
+        # w(n): binary words of length n with no isolated 1 (OEIS A005251),
+        # each word padded with a 0 at both ends
+        def w(n):
+            return sum(
+                not any(p[j] and not p[j - 1] and not p[j + 1] for j in range(1, n + 1))
+                for word in itertools.product((0, 1), repeat=n)
+                for p in ((0, *word, 0),)
+            )
+
+        def forced_masks(d):
+            full = (1 << (d + 1)) - 1
+            return len({forced for _, forced in basis._mask_table(d).order} - {full})
+
+        assert [forced_masks(d) for d in range(1, 13)] == [w(d + 1) - 1 for d in range(1, 13)] == [
+            1, 3, 6, 11, 20, 36, 64, 113, 199, 350, 615, 1080
+        ]
+        for d in range(7):
+            tables = {frozenset(core._coordinates(l_series(s, max(d, 1))).items()) for s in all_subsets(d)}
+            assert len(tables - {frozenset()}) == forced_masks(d)
+        assert forced_masks(0) == 1
 
 
 class TestDecomposeK:
@@ -249,6 +270,14 @@ class TestDecompositionObject:
         assert reconstruct(Decomposition(3, "L", {spec(3): 1}), 3) == l_series(spec(3), 3)
         with pytest.raises(TruncationError):
             reconstruct(Decomposition(3, "L", {spec(3): 1}), 2)
+
+    def test_reconstruct_refuses_truncation_zero_at_degree_zero(self):
+        with pytest.raises(ValueError, match="truncation must be a positive integer, got 0"):
+            reconstruct(Decomposition(0, "L", {spec(0): 1}), 0)
+
+    def test_reconstruct_refuses_a_bool_truncation(self):
+        with pytest.raises(ValueError, match="truncation must be a positive integer, got True"):
+            reconstruct(decompose_l(l_series(spec(1), 1)), True)
 
 
 class TestRationalSolve:

@@ -121,6 +121,12 @@ class TestSeriesBasics:
         assert (x0sq.scale(-1) + x0sq).is_zero()
         assert 3 * x0sq == x0sq.scale(3)
 
+    def test_scale_refuses_a_bool(self):
+        a = k_series(spec(2, 1), 2)
+        for scaled in (lambda: a.scale(True), lambda: a * True, lambda: True * a):
+            with pytest.raises(ValueError, match="scale factor must be an integer, got True"):
+                scaled()
+
     def test_mul_worked_product(self):
         a = Series(2, 1, {mono("x0^2"): 1})
         b = Series(3, 1, {mono("x0^3"): 1, mono("x1^3"): 2, mono("xinf^3"): 1})
@@ -225,6 +231,12 @@ def test_alphabet_order():
     assert alphabet(3) == (0, 1, 2, 3, INF)
     with pytest.raises(ValueError):
         alphabet(0)
+
+
+@pytest.mark.parametrize("trunc", [True, 2.5])
+def test_alphabet_refuses_a_truncation_that_is_no_positive_integer(trunc):
+    with pytest.raises(ValueError, match=f"truncation must be a positive integer, got {trunc!r}"):
+        alphabet(trunc)
 
 
 class TestRelabelCheck:
