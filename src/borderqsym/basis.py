@@ -9,26 +9,23 @@ check it is divisible by the predicted power of two, and subtract that
 multiple of the L member.  A divisibility failure or a nonzero final
 residual means the target is outside the span of the family.
 
-The walk is not run; it is emulated on the target's V-free M-coordinates
-(core module).  A quasisymmetric target is read through its
-coordinates; any other through its smallest placements (naturals
-exactly 1..k), keyed by coordinate, which are the only monomials the
-walk reads, since generic monomials are smallest placements.  A degree-d
-coordinate is one of the 2^(d+1) - 1 equality masks of a padded tuple
-(bit j says g_j = g_{j+1}; the all-ones mask is no coordinate), and the
-L member of a subset carries 2^mid(E) at every mask E containing the
-subset's forced mask F, where mid(E) = d - popcount(E) counts E's
-middle blocks.  So the target's coefficient at E, split as
-2^mid(E) q(E) + r(E), gives the walk everything it reads once q is
-Möbius-transformed over masks into g (Rota 1964): the residual at F is
-2^mid(F) times the sum of g over the masks inside F, plus r(F), and
-subtracting k times the member lowers g(F) by k and changes nothing
-else.  The coefficients, their order and every error field are
-therefore those of the walk in its one order, by size and then
-lexicographically.  The subsets and their forced masks are built once
-per degree.  The witness of a nonzero residual is the smallest
-monomial of the target minus the reconstruction of what was found; a
-target that is not quasisymmetric always leaves one.
+The walk runs on the target's V-free M-coordinates (core module).  A
+quasisymmetric target is read through its coordinates; any other through
+its smallest placements (naturals exactly 1..k), keyed by coordinate,
+which are the only monomials the walk reads, since generic monomials are
+smallest placements.  A degree-d coordinate is one of the 2^(d+1) - 1
+equality masks of a padded tuple (bit j says g_j = g_{j+1}; the all-ones
+mask is no coordinate), and the L member of a subset carries 2^mid(E)
+at every mask E containing the subset's forced mask F, where
+mid(E) = d - popcount(E) counts E's middle blocks.  So the walk's
+residual at E is 2^mid(E) h(E) + r(E): the target's coefficient there,
+split with 0 <= r(E) < 2^mid(E), sets h(E) and r(E), and subtracting k
+times the member lowers h by k at every mask containing F and leaves r
+alone.  A subset reads h at its forced mask and absorbs by lowering h on
+that mask's supersets, which are listed once per degree together with
+the subsets and their forced masks.  The witness of a nonzero residual
+is the smallest monomial of the target minus the reconstruction of what
+was found; a target that is not quasisymmetric always leaves one.
 :func:`decompose_k` turns the L coefficients into K coefficients by one
 signed superset sum over subset bitmasks, and :func:`reconstruct` sums
 member coordinates and expands once.
@@ -49,7 +46,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain, combinations
-from operator import add, sub
+from operator import add
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Monomial, Series, TruncationError, _check_trunc, _coordinates, _expand, _mask
@@ -174,8 +171,10 @@ def l_from_k(spec: SubsetSpec) -> Decomposition:
 
 # Entries of the mask table cache, one per degree.  A table holds the 2^d
 # subsets, listed in the walk's order with their forced masks and by
-# bitmask: 3.5 MB at degree 12 (the command line's largest
-# decomposition) and 14 MB at 14; the benchmark decomposes at degrees 0
+# bitmask, and every superset of each forced mask, one pointer to a
+# shared int each: 4.7 MB at degree 12 (the command line's largest
+# decomposition), of which about 1 MB is superset pointers, 22 MB at 14
+# (7 MB) and 105 MB at 16 (44 MB); the benchmark decomposes at degrees 0
 # to 7.
 _MASK_TABLE_CACHE = 16
 
@@ -189,6 +188,7 @@ class _MaskTable(NamedTuple):
 
     order: tuple       # (SubsetSpec, forced mask) by size, then lexicographically
     specs: tuple       # subset bitmask -> the same SubsetSpec
+    ups: dict          # forced mask -> the masks containing it, all-ones mask excluded
 
 
 @lru_cache(maxsize=_MASK_TABLE_CACHE)
@@ -197,14 +197,29 @@ def _mask_table(d: int) -> _MaskTable:
     specs = [None] * len(order)
     for spec, bits in order:
         specs[bits] = spec
-    return _MaskTable(tuple((spec, _forced(bits)) for spec, bits in order), tuple(specs))
+    order = tuple((spec, _forced(bits)) for spec, bits in order)
+    full = (2 << d) - 1
+    ints = list(range(full + 1))  # one int object per mask, which every list shares
+    ups = {}
+    for _, forced in order:
+        if forced == full or forced in ups:
+            continue
+        # double the list over each free bit, lowest first: ascending masks
+        masks = [ints[forced]]
+        free = full ^ forced
+        while free:
+            bit = free & -free
+            free ^= bit
+            masks += [ints[mask + bit] for mask in masks]
+        masks.pop()  # the all-ones mask
+        ups[forced] = tuple(masks)
+    return _MaskTable(order, tuple(specs), ups)
 
 
-def _subset_passes(values: list[int], passes: int, mobius: bool) -> None:
-    # In place, for each bit j < passes and each index E without it: the
-    # Möbius step values[E | 2^j] -= values[E], or the superset-sum step
-    # values[E] += values[E | 2^j].  A pass works on strided or contiguous
-    # slices, whichever needs fewer of them.
+def _subset_passes(values: list[int], passes: int) -> None:
+    # In place, for each bit j < passes and each index E without it, the
+    # superset-sum step values[E] += values[E | 2^j].  A pass works on
+    # strided or contiguous slices, whichever needs fewer of them.
     size = len(values)
     for j in range(passes):
         h = 1 << j
@@ -213,10 +228,7 @@ def _subset_passes(values: list[int], passes: int, mobius: bool) -> None:
         else:
             pairs = [(slice(b, b + h), slice(b + h, b + 2 * h)) for b in range(0, size, 2 * h)]
         for lo, hi in pairs:
-            if mobius:
-                values[hi] = map(sub, values[hi], values[lo])
-            else:
-                values[lo] = map(add, values[lo], values[hi])
+            values[lo] = map(add, values[lo], values[hi])
 
 
 def decompose_l(target: Series) -> Decomposition:
@@ -230,51 +242,46 @@ def decompose_l(target: Series) -> Decomposition:
     targets outside the span and :class:`TruncationError` when
     trunc < degree.
 
-    The walk is emulated (see the module docstring).  The coefficient at
-    each mask E is split as 2^mid(E) q(E) + r(E), 0 <= r(E) < 2^mid(E),
-    and q is Möbius-transformed into g in d + 1 passes.  A subset with
-    forced mask F reads s, the sum of the nonzero g(G) over G inside F:
-    the walk's residual there is 2^mid(F) s + r(F), so a nonzero r(F) is
-    the walk's :class:`NotDivisibleError`, s = 0 its skip, and otherwise
-    s is recorded and g(F) lowered by s.  The walk leaves a residual
-    exactly when some g off the all-ones mask or some remainder is left.
+    The walk runs on quotients (see the module docstring).  The
+    coefficient at each mask E is split as 2^mid(E) h(E) + r(E),
+    0 <= r(E) < 2^mid(E), which is the walk's residual there.  A subset
+    with forced mask F reads s = h(F): a nonzero r(F) is the walk's
+    :class:`NotDivisibleError`, s = 0 its skip, and otherwise s is
+    recorded and h lowered by s on every mask containing F.  The walk
+    leaves a residual exactly when some h or some remainder is left.
     """
     d = target.degree
     if target.trunc < d:
         raise TruncationError(f"need trunc >= degree {d}, got {target.trunc}")
-    order = _mask_table(d).order
+    table = _mask_table(d)
     coords = _coordinates(target)
     read = coords
     if coords is None:
         # the walk reads only generic monomials, which are smallest placements
         read = {_mask(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
     full = (1 << (d + 1)) - 1
-    g = [0] * (full + 1)
+    h = [0] * full  # every mask but the all-ones one, which is no coordinate
     rem: dict[int, int] = {}
     for mask, c in read.items():
-        g[mask], r = divmod(c, 1 << d - mask.bit_count())
+        h[mask], r = divmod(c, 1 << d - mask.bit_count())
         if r:
             rem[mask] = r
-    _subset_passes(g, d + 1, mobius=True)
-    left = {mask: v for mask, v in enumerate(g) if v and mask != full}
+    ups = table.ups
     coeffs: dict[SubsetSpec, int] = {}
-    for spec, forced in order:
+    for spec, forced in table.order:
         if forced == full:
             continue  # the forced chain joins 0 to inf: the L member is zero
-        s = sum([v for mask, v in left.items() if mask | forced == forced])
+        s = h[forced]
         r = rem.get(forced)
         if r:
             divisor = 1 << d - forced.bit_count()
             raise NotDivisibleError(spec, _representative(forced, d), s * divisor + r, divisor)
         if s:
             coeffs[spec] = s
-            v = left.get(forced, 0) - s
-            if v:
-                left[forced] = v
-            else:
-                del left[forced]
+            for mask in ups[forced]:
+                h[mask] -= s
     found = Decomposition._trusted(d, "L", coeffs)
-    if left or rem or coords is None:
+    if any(h) or rem or coords is None:
         rest = target - reconstruct(found, target.trunc)
         rest_coords = _coordinates(rest)
         # a coordinate's smallest monomial places its word on 1, 2, ...
@@ -298,7 +305,7 @@ def decompose_k(target: Series) -> Decomposition:
     sums = [0] * len(specs)
     for spec, c in by_l.items():
         sums[_bits(spec.members)] = c
-    _subset_passes(sums, d, mobius=False)
+    _subset_passes(sums, d)
     return Decomposition._trusted(d, "K", {
         specs[bits]: -c if bits.bit_count() & 1 else c for bits, c in enumerate(sums) if c
     })

@@ -11,7 +11,8 @@ build a member of degree n with more than 10^7 equality patterns,
 2^(n + 1), whatever V is.  shuffle-formula spells out m + 1 shuffles of
 m + 1 letters, so it refuses (m + 1)^2 above 10^7, that is m >= 3162,
 with exit 1 as well.  A --vars below 1 is refused with exit 1 by every
-command that takes it.  ``selftest --json`` gives each suite's wall time
+command that takes it, before the size checks, so its message is the
+truncation one whatever the other flags are.  ``selftest --json`` gives each suite's wall time
 in a ``seconds`` field beside ``name``, ``ok`` and ``detail``; the
 human-readable lines carry no time.  The verifiers (spreading, peak
 sets, selftest) load only for the commands that run them.
@@ -27,7 +28,7 @@ import time
 from typing import Optional, Sequence
 
 from .basis import NonzeroResidualError, NotDivisibleError, decompose_k, decompose_l
-from .core import Series
+from .core import Series, _check_trunc
 from .families import SubsetSpec, k_series, k_series_q, l_series
 
 # The commands that run the oracle, shuffle and verify modules import them
@@ -49,10 +50,10 @@ def _refuse_above_limit(size: int, what: str) -> None:
 
 
 def _check_request(degree: int, trunc: int, *members: int) -> None:
-    # runs before any enumeration: the output's monomial slice, then the
-    # equality patterns each member enumerates at any V; the constructors
-    # reject trunc < 1 themselves
-    size = math.comb(max(trunc, 0) + degree + 1, degree)
+    # runs before any enumeration: V >= 1, the output's monomial slice,
+    # then the equality patterns each member enumerates at any V
+    _check_trunc(trunc)
+    size = math.comb(trunc + degree + 1, degree)
     _refuse_above_limit(size, f"degree {degree} at vars {trunc} spans {size} monomials")
     for n in members:
         _refuse_above_limit(2 << n, f"a degree-{n} member has {2 << n} equality patterns")

@@ -177,6 +177,19 @@ class TestDecomposeL:
         assert forced_masks(0) == 1
 
 
+def test_superset_table_lists_every_superset_of_each_forced_mask():
+    counts = []
+    for d in range(9):
+        full = (2 << d) - 1
+        table = basis._mask_table(d)
+        assert set(table.ups) == {forced for _, forced in table.order} - {full}
+        for forced, masks in table.ups.items():
+            assert len(masks) == len(set(masks))
+            assert set(masks) == {mask for mask in range(full) if mask & forced == forced}
+        counts.append(sum(map(len, table.ups.values())))
+    assert counts == [1, 3, 9, 26, 71, 188, 490, 1264, 3237]
+
+
 class TestDecomposeK:
     def test_unit_factor(self):
         for s in [spec(2, 1), spec(3, 1, 2)]:

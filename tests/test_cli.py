@@ -252,6 +252,10 @@ def test_member_with_too_many_patterns_refused_promptly(run):
     ("multiply", "--left", "K:1:", "--right", "K:1:1", "--vars", "0"),
     ("decompose", "--left", "L:2:1", "--right", "L:3:2", "--vars", "0"),
     ("check-spreading", "--left", "L:2:1", "--right", "L:3:2", "--vars", "0"),
+    # before the size checks: 2 << 100000 has too many digits to print,
+    # and a degree-30 member is over the pattern limit
+    ("kseries", "--n", "100000", "--set", "", "--vars", "0"),
+    ("kseries", "--n", "30", "--vars", "0"),
 ])
 def test_vars_below_one_refused(run, argv):
     code, out, err = run(*argv)
