@@ -216,12 +216,12 @@ def _mask_table(d: int) -> _MaskTable:
     return _MaskTable(order, tuple(specs), ups)
 
 
-def _subset_passes(values: list[int], passes: int) -> None:
-    # In place, for each bit j < passes and each index E without it, the
-    # superset-sum step values[E] += values[E | 2^j].  A pass works on
-    # strided or contiguous slices, whichever needs fewer of them.
+def _subset_passes(values: list[int]) -> None:
+    # In place, over a list of length 2^d, for each bit j < d and each index
+    # E without it, the superset-sum step values[E] += values[E | 2^j].  A
+    # pass works on strided or contiguous slices, whichever needs fewer.
     size = len(values)
-    for j in range(passes):
+    for j in range(size.bit_length() - 1):
         h = 1 << j
         if 2 * h * h < size:
             pairs = [(slice(r, None, 2 * h), slice(h + r, None, 2 * h)) for r in range(h)]
@@ -305,7 +305,7 @@ def decompose_k(target: Series) -> Decomposition:
     sums = [0] * len(specs)
     for spec, c in by_l.items():
         sums[_bits(spec.members)] = c
-    _subset_passes(sums, d)
+    _subset_passes(sums)
     return Decomposition._trusted(d, "K", {
         specs[bits]: -c if bits.bit_count() & 1 else c for bits, c in enumerate(sums) if c
     })
@@ -320,7 +320,7 @@ def reconstruct(dec: Decomposition, trunc: int) -> Series:
     for spec, c in dec.coeffs.items():
         for key, v in _pattern_coords(dec.basis, spec, 2).items():
             coords[key] = coords.get(key, 0) + c * v
-    return _expand(dec.degree, trunc, {key: c for key, c in coords.items() if c})
+    return _expand(dec.degree, trunc, coords)
 
 
 def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[Fraction]]:

@@ -185,8 +185,6 @@ def _cmd_check_spreading(args) -> int:
 
 
 def _cmd_check_q(args) -> int:
-    if args.q == 0:
-        raise ValueError("q must be nonzero")
     from .verify import q_square_in_span
 
     in_span = q_square_in_span(args.q)

@@ -308,7 +308,7 @@ class Series:
         out = dict(a)
         for key, c in b.items():
             out[key] = out.get(key, 0) + c
-        return _expand(self.degree, self.trunc, {key: c for key, c in out.items() if c})
+        return _expand(self.degree, self.trunc, out)
 
     def scale(self, c: int) -> "Series":
         if not isinstance(c, int) or isinstance(c, bool):
@@ -316,7 +316,7 @@ class Series:
         coords = _coordinates(self)
         if coords is None:
             return Series(self.degree, self.trunc, {m: c * v for m, v in self.terms.items()})
-        return _expand(self.degree, self.trunc, {key: c * v for key, v in coords.items()} if c else {})
+        return _expand(self.degree, self.trunc, {key: c * v for key, v in coords.items()})
 
     def mul(self, other: "Series") -> "Series":
         """The exact product; on M-coordinates when both factors are quasisymmetric."""
@@ -336,7 +336,7 @@ class Series:
                 for w, mult in _quasi_shuffle(u, su, v, sv):
                     w = border | w << e0 + 1
                     out[w] = out.get(w, 0) + c * mult
-        return _expand(n, self.trunc, {k: c for k, c in out.items() if c})
+        return _expand(n, self.trunc, out)
 
     def restrict(self, trunc: int) -> "Series":
         """Drop every monomial using a natural index beyond the new truncation.
@@ -503,12 +503,12 @@ def _quasi_shuffle(u: int, su: int, v: int, sv: int) -> tuple[tuple[int, int], .
 def _expand(degree: int, trunc: int, coords: Mapping[int, int]) -> Series:
     """The series at truncation V with these M-coordinates.
 
-    Every key must have the given degree and a nonzero coefficient.  A
-    word longer than V has no placement on 1..V, so its key is dropped.
-    The series keeps the other keys and no monomial: its ``terms`` is a
-    :class:`_Placements` view over them.
+    Every key must have the given degree.  A key with coefficient zero is
+    dropped, and so is one whose word, longer than V, has no placement on
+    1..V.  The series keeps the other keys in order and no monomial: its
+    ``terms`` is a :class:`_Placements` view over them.
     """
-    kept = MappingProxyType({key: c for key, c in coords.items() if degree - key.bit_count() <= trunc})
+    kept = MappingProxyType({key: c for key, c in coords.items() if c and degree - key.bit_count() <= trunc})
     return Series._trusted(degree, trunc, _Placements(degree, trunc, kept), kept)
 
 

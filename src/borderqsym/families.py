@@ -37,7 +37,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .core import INF, Monomial, Series, TruncationError, _check_trunc, _expand, _letters, _mask, _split, is_natural
+from .core import INF, Monomial, Series, TruncationError, _check_trunc, _expand, _letters, _mask, _split
 
 # Entries of each member cache.  The largest working set of any benchmark
 # workload is about 500 members (closure: every K and L member of degree
@@ -70,10 +70,13 @@ class SubsetSpec:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "SubsetSpec":
-        """Parse the comma-separated ascending encoding; "" is the empty set."""
+        """Parse the canonical comma-separated ascending encoding; "" is the empty set."""
         if text == "":
             return cls(n)
-        parts = [int(p) for p in text.split(",")]
+        # a part that is no decimal numeral is dropped, so the text differs from the join
+        parts = [int(p) for p in text.split(",") if p.isdecimal()]
+        if ",".join(map(str, parts)) != text:
+            raise ValueError(f"subset text {text!r} is not comma-separated members such as 1,2,4")
         if parts != sorted(set(parts)):
             raise ValueError(f"subset text {text!r} is not strictly ascending")
         return cls(n, frozenset(parts))
@@ -127,6 +130,12 @@ def _bits(members: Iterable[int]) -> int:
 def _forced(bits: int) -> int:
     # a member i forces the flags i - 1 and i
     return bits | bits << 1
+
+
+def _lone(mask: int, n: int) -> int:
+    # The set bits of a degree-n mask with both neighbours clear, each a
+    # block of exactly two equal entries; degree 0 has none.
+    return mask & ~(mask << 1 | mask >> 1) if n else 0
 
 
 def _representative(mask: int, n: int) -> Monomial:
@@ -197,16 +206,10 @@ def k_series_q(spec: SubsetSpec, trunc: int, q: int) -> Series:
 def is_l_special(m: Monomial) -> bool:
     """No natural exponent equals 2 and no border exponent equals 1.
 
-    Exactly the monomials that appear as a generic monomial of some L
-    member.
+    That is, its equality mask has no lone bit: exactly the monomials
+    that appear as a generic monomial of some L member.
     """
-    for i, e in m.pairs:
-        if is_natural(i):
-            if e == 2:
-                return False
-        elif e == 1:
-            return False
-    return True
+    return not _lone(_mask(m), m.degree)
 
 
 def m_generic_monomial(spec: SubsetSpec, trunc: int) -> Optional[Monomial]:

@@ -49,7 +49,7 @@ from .core import (
     all_monomials,
     is_border,
 )
-from .families import SubsetSpec, _representative
+from .families import SubsetSpec, _lone, _representative
 
 
 class RelationKind(Enum):
@@ -95,11 +95,9 @@ class ProblematicRelation:
 
 
 def _relations(mask: int, n: int) -> list[tuple[RelationKind, int]]:
-    # The relations of every degree-n monomial with this equality mask, by
-    # position: a set bit p with both neighbours clear is a block of size
-    # 2, a lone x0 at p = 0, a lone xinf at p = n and an interior square
-    # between.  Degree 0 has no relation.
-    lone = mask & ~(mask << 1 | mask >> 1) if n else 0
+    # The relations of every degree-n monomial with this equality mask, one
+    # per lone bit p: a lone x0 at p = 0, a lone xinf at p = n, else a square.
+    lone = _lone(mask, n)
     out = []
     while lone:
         p = (lone & -lone).bit_length() - 1

@@ -168,7 +168,7 @@ class TestCheckCommands:
         code, out, _ = run("check-q", "--q", "2", "--json")
         assert code == 0
         assert json.loads(out) == {"in_span": True, "q": 2}
-        assert run("check-q", "--q", "0")[0] == 1
+        assert run("check-q", "--q", "0")[::2] == (1, "error: q must be a nonzero integer, got 0\n")
 
 
 class TestExitCodes:
@@ -186,6 +186,9 @@ class TestExitCodes:
         code, _, err = run("multiply", "--left", "Q:1:", "--right", "K:1:")
         assert code == 1
         assert "error" in err
+        code, _, err = run("kseries", "--n", "2", "--set", "1,")
+        assert code == 1
+        assert err == "error: subset text '1,' is not comma-separated members such as 1,2,4\n"
 
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0

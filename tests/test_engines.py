@@ -334,6 +334,16 @@ class TestTermsView:
         assert border.terms == core._expand(2, 3, {x0_squared: 1}).terms
         assert border != core._expand(2, 3, {x0_squared: 1})
 
+    def test_zero_coefficients_are_dropped_at_birth(self):
+        series = core._expand(2, 2, {0b001: 0, 0b010: 3})
+        assert dict(core._coordinates(series)) == {0b010: 3}
+        # x1^2 and x2^2: the placements of x0*x_i are not counted
+        assert len(series.terms) == 2
+        assert dict(series.terms.items()) == {mono("x1^2"): 3, mono("x2^2"): 3}
+        p = k_series(spec(2, 1), 3)
+        for zero in (p - p, p.scale(0)):
+            assert dict(core._coordinates(zero)) == {} and len(zero.terms) == 0 and zero.is_zero()
+
 
 @settings(max_examples=25, deadline=None)
 @given(product_keys(5, 1), st.sampled_from([0, 1, -1, 3]))

@@ -53,10 +53,14 @@ class TestSubsetSpec:
         assert SubsetSpec.parse(3, "") == spec(3)
 
     def test_parse_rejects_disorder(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not strictly ascending"):
             SubsetSpec.parse(5, "2,1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not strictly ascending"):
             SubsetSpec.parse(5, "1,1")
+        # only the canonical text, as member_text writes it
+        for text in ("1,", ",1", " 1", "+1", "01", "1, 2", "1,,2", "1_0", "x"):
+            with pytest.raises(ValueError, match="is not comma-separated members such as 1,2,4"):
+                SubsetSpec.parse(5, text)
 
     def test_an_immutable_hashable_value(self):
         s = spec(4, 1, 3)

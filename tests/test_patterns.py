@@ -4,14 +4,14 @@ The library encodes the equality pattern of a padded index tuple as an
 int (bit i is the flag g_i = g_{i+1}), keys every M-coordinate table by
 it, and writes each rule on it once: the split of a mask into border
 runs and word, the forced mask of a subset, which masks a K or L member
-keeps, and a mask's problematic relations.  The tuple-of-bools helpers
-those rules replaced, and the flags sweep of ``check_spreading``, are
-references in ``reference.py``.  This file checks the library against
-them exhaustively on small degrees: the split and the relations of
-every mask to degree 12 (one corpus, ``reference.mask_cases``), the
-mask and relations of every monomial to degree 6, the coordinates of
-every member to degree 9, and ``check_spreading`` on the products of
-``reference.spreading_cases``.
+keeps, and a mask's lone bits, which are its problematic relations.
+The tuple-of-bools helpers those rules replaced, and the flags sweep of
+``check_spreading``, are references in ``reference.py``.  This file
+checks the library against them exhaustively on small degrees: the
+split, lone bits and relations of every mask to degree 12 (one corpus,
+``reference.mask_cases``), the mask and relations of every monomial to
+degree 6, the coordinates of every member to degree 9, and
+``check_spreading`` on the products of ``reference.spreading_cases``.
 """
 
 from borderqsym import all_subsets, check_spreading, problematic_relations
@@ -50,6 +50,7 @@ def test_keys_of_every_mask_to_degree_12():
 def test_relations_of_every_mask_to_degree_12():
     for n, mask, _, relations in mask_cases():
         assert [(kind.value, p) for kind, p in oracle._relations(mask, n)] == relations, (mask, n)
+        assert families._lone(mask, n) == sum(1 << p for _, p in relations), (mask, n)
 
 
 def test_forced_masks_and_representatives():
@@ -61,6 +62,12 @@ def test_forced_masks_and_representatives():
             assert full == (reference_pattern_key(flags_of(forced, n)) is None)
             if not full:
                 assert families._representative(forced, n) == reference_representative(flags_of(forced, n))
+    # the forced masks below all-ones are exactly the masks with no lone
+    # bit, which is why the span of degree d has dimension w(d + 1) - 1
+    for d in range(13):
+        full = (2 << d) - 1
+        forced = {families._forced(families._bits(s.members)) for s in all_subsets(d)} - {full}
+        assert forced == {mask for mask in range(full) if not families._lone(mask, d)}, d
 
 
 def test_masks_and_relations_of_every_monomial_to_degree_6():
