@@ -2,30 +2,36 @@
 
 Inclusion-exclusion over the subset lattice converts either family into
 the other.  :func:`decompose_l` expresses a target series as an integer
-combination of L members, defined by a walk: take every subset of
-[degree] in increasing size (lexicographic within a size class), read
-the residual coefficient of the subset's canonical generic monomial,
-check it is divisible by the predicted power of two, and subtract that
-multiple of the L member.  A divisibility failure or a nonzero final
-residual means the target is outside the span of the family.
+combination of L members in its minimal form, each distinct member at
+most once, or says that the target is outside the span of the family.
 
-The walk runs on the target's V-free M-coordinates (core module).  A
+It reads the target's V-free M-coordinates (core module).  A
 quasisymmetric target is read through its coordinates; any other through
-its smallest placements (naturals exactly 1..k), keyed by coordinate,
-which are the only monomials the walk reads, since generic monomials are
-smallest placements.  A degree-d coordinate is one of the 2^(d+1) - 1
-equality masks of a padded tuple (bit j says g_j = g_{j+1}; the all-ones
-mask is no coordinate), and the L member of a subset carries 2^mid(E)
-at every mask E containing the subset's forced mask F, where
-mid(E) = d - popcount(E) counts E's middle blocks.  So the walk's
-residual at E is 2^mid(E) h(E) + r(E): the target's coefficient there,
-split with 0 <= r(E) < 2^mid(E), sets h(E) and r(E), and subtracting k
-times the member lowers h by k at every mask containing F and leaves r
-alone.  A subset reads h at its forced mask and absorbs by lowering h on
-that mask's supersets, which are listed once per degree together with
-the subsets and their forced masks.  The witness of a nonzero residual
-is the smallest monomial of the target minus the reconstruction of what
-was found; a target that is not quasisymmetric always leaves one.
+its smallest placements (naturals exactly 1..k), keyed by coordinate.  A
+degree-d coordinate is one of the 2^(d+1) - 1 equality masks of a padded
+tuple (bit j says g_j = g_{j+1}; the all-ones mask is no coordinate).
+The L member of a subset depends only on the subset's forced mask F: it
+carries 2^mid(E) at every mask E containing F, where
+mid(E) = d - popcount(E) counts E's middle blocks.  Members of distinct
+forced masks are independent, and the forced masks are the masks without
+a lone bit, so the members of the forced masks below all-ones are a basis
+of the span, which the paper shows is closed under products.  A
+combination putting G(F) on each forced mask has 2^mid(E) h(E) at E,
+where h(E) sums G over the forced masks inside E, and those are exactly
+the forced masks inside E's forced core, E without its lone bits.  So the
+target's coefficient at each mask is split as 2^mid(E) h(E) + r(E),
+0 <= r(E) < 2^mid(E); the target is in the span exactly when no r is
+left and h(E) equals h at E's core for every E, and then G is the Möbius
+transform of h read at the cores (Rota, "On the foundations of
+combinatorial theory I", 1964), d + 1 passes of Yates' transform.  Each
+nonzero G(F) goes to F's first subset, by size and then
+lexicographically.  A remainder at a forced mask is a
+:class:`NotDivisibleError` for the first subset forcing such a mask; any
+other leftover is a :class:`NonzeroResidualError` whose witness is the
+smallest monomial of the target minus the reconstruction of G (a target
+that is not quasisymmetric always leaves one).  These are the errors of
+the walk that subtracts L members subset by subset in that order, with
+every field but the NotDivisible coefficient, which is the target's own.
 :func:`decompose_k` turns the L coefficients into K coefficients by one
 signed superset sum over subset bitmasks, and :func:`reconstruct` sums
 member coordinates and expands once.
@@ -46,20 +52,21 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain, combinations
-from operator import add
+from operator import add, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Monomial, Series, TruncationError, _check_trunc, _coordinates, _expand, _mask
-from .families import SubsetSpec, _bits, _forced, _pattern_coords, _representative, all_subsets
+from .families import SubsetSpec, _bits, _forced, _lone, _pattern_coords, _representative, all_subsets
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
 class NotDivisibleError(ArithmeticError):
-    """A residual coefficient is not divisible by the predicted power of two.
+    """A coefficient at a forced mask is not divisible by the predicted power of two.
 
-    Signals a target outside the span (or a truncation below the degree).
+    Signals a target outside the span.  ``spec`` is the first subset
+    forcing such a mask and ``coefficient`` the target's own at ``monomial``.
     """
 
     def __init__(self, spec: SubsetSpec, monomial: Monomial, coefficient: int, divisor: int):
@@ -170,85 +177,66 @@ def l_from_k(spec: SubsetSpec) -> Decomposition:
 
 
 # Entries of the mask table cache, one per degree.  A table holds the 2^d
-# subsets, listed in the walk's order with their forced masks and by
-# bitmask, and every superset of each forced mask, one pointer to a
-# shared int each: 4.7 MB at degree 12 (the command line's largest
-# decomposition), of which about 1 MB is superset pointers, 22 MB at 14
-# (7 MB) and 105 MB at 16 (44 MB); the benchmark decomposes at degrees 0
-# to 7.
+# subsets by bitmask, the first subset of each forced mask and the forced
+# core of each of the 2^(d+1) masks: 3.1 MB at degree 12 (the command
+# line's largest decomposition), 13.5 MB at 14 and 56 MB at 16, by
+# tracemalloc; the benchmark decomposes at degrees 0 to 7.
 _MASK_TABLE_CACHE = 16
 
 
 class _MaskTable(NamedTuple):
-    """Degree-only data of the decomposition: the 2^d subsets of [d].
+    """Degree-only data of the decomposition.
 
-    Bit i - 1 of a subset bitmask is the member i; the forced mask of a
-    subset is an equality mask (bit j is the flag g_j = g_{j+1}).
+    Bit i - 1 of a subset bitmask is the member i; a forced mask is an
+    equality mask (bit j is the flag g_j = g_{j+1}).
     """
 
-    order: tuple       # (SubsetSpec, forced mask) by size, then lexicographically
-    specs: tuple       # subset bitmask -> the same SubsetSpec
-    ups: dict          # forced mask -> the masks containing it, all-ones mask excluded
+    reads: tuple       # (first SubsetSpec, forced mask) per forced mask below all-ones, specs in size-lex order
+    specs: tuple       # subset bitmask -> SubsetSpec
+    cores: tuple       # mask -> its forced core, the largest forced mask inside it
 
 
 @lru_cache(maxsize=_MASK_TABLE_CACHE)
 def _mask_table(d: int) -> _MaskTable:
-    order = tuple((spec, _bits(spec.members)) for spec in all_subsets(d))
-    specs = [None] * len(order)
-    for spec, bits in order:
-        specs[bits] = spec
-    order = tuple((spec, _forced(bits)) for spec, bits in order)
     full = (2 << d) - 1
-    ints = list(range(full + 1))  # one int object per mask, which every list shares
-    ups = {}
-    for _, forced in order:
-        if forced == full or forced in ups:
-            continue
-        # double the list over each free bit, lowest first: ascending masks
-        masks = [ints[forced]]
-        free = full ^ forced
-        while free:
-            bit = free & -free
-            free ^= bit
-            masks += [ints[mask + bit] for mask in masks]
-        masks.pop()  # the all-ones mask
-        ups[forced] = tuple(masks)
-    return _MaskTable(order, tuple(specs), ups)
+    specs = [None] * (1 << d)
+    firsts = {}
+    for spec in all_subsets(d):
+        bits = _bits(spec.members)
+        specs[bits] = spec
+        firsts.setdefault(_forced(bits), spec)
+    firsts.pop(full, None)  # the forced chain joins 0 to inf: the L member is zero
+    cores = tuple(mask & ~_lone(mask, d) for mask in range(full + 1))
+    return _MaskTable(tuple((spec, forced) for forced, spec in firsts.items()), tuple(specs), cores)
 
 
-def _subset_passes(values: list[int]) -> None:
-    # In place, over a list of length 2^d, for each bit j < d and each index
-    # E without it, the superset-sum step values[E] += values[E | 2^j].  A
-    # pass works on strided or contiguous slices, whichever needs fewer.
-    size = len(values)
-    for j in range(size.bit_length() - 1):
-        h = 1 << j
-        if 2 * h * h < size:
-            pairs = [(slice(r, None, 2 * h), slice(h + r, None, 2 * h)) for r in range(h)]
-        else:
-            pairs = [(slice(b, b + h), slice(b + h, b + 2 * h)) for b in range(0, size, 2 * h)]
-        for lo, hi in pairs:
-            values[lo] = map(add, values[lo], values[hi])
+def _subset_passes(values: list[int], op) -> list[int]:
+    # Yates' transform (1937) of a list of length 2^k: for each bit j < k,
+    # each index E with it takes op(values[E], values[E - 2^j]), so add
+    # gives subset sums and sub their Möbius inverse.  A pass pairs the
+    # neighbours 2i and 2i + 1, which differ in the lowest bit, and moves
+    # that bit to the top, so k passes visit every bit and restore the order.
+    for _ in range(len(values).bit_length() - 1):
+        evens = values[::2]
+        values = [*evens, *map(op, values[1::2], evens)]
+    return values
 
 
 def decompose_l(target: Series) -> Decomposition:
-    """Decompose a series in the span onto the L family.
+    """Decompose a series in the span onto the L family, in its minimal form.
 
-    The walk takes the subsets in one order, by size and then
-    lexicographically, which makes the output canonical.  Another order
-    within a size would only change which of several coinciding L
-    members absorbs a coefficient, never the reconstruction.  Raises
-    :class:`NotDivisibleError` or :class:`NonzeroResidualError` for
-    targets outside the span and :class:`TruncationError` when
+    Each distinct L member appears at most once, on its first subset by
+    size and then lexicographically, which makes the output canonical.
+    Raises :class:`NotDivisibleError` or :class:`NonzeroResidualError`
+    for targets outside the span and :class:`TruncationError` when
     trunc < degree.
 
-    The walk runs on quotients (see the module docstring).  The
-    coefficient at each mask E is split as 2^mid(E) h(E) + r(E),
-    0 <= r(E) < 2^mid(E), which is the walk's residual there.  A subset
-    with forced mask F reads s = h(F): a nonzero r(F) is the walk's
-    :class:`NotDivisibleError`, s = 0 its skip, and otherwise s is
-    recorded and h lowered by s on every mask containing F.  The walk
-    leaves a residual exactly when some h or some remainder is left.
+    One read (see the module docstring): the coefficient at each mask E
+    is split as 2^mid(E) h(E) + r(E), 0 <= r(E) < 2^mid(E).  A nonzero
+    r at a forced mask is the :class:`NotDivisibleError`.  The
+    coefficients are the Möbius transform of h read at each mask's
+    forced core, at the forced masks, and the target is in the span
+    exactly when no r is left and that read is h itself.
     """
     d = target.degree
     if target.trunc < d:
@@ -257,31 +245,22 @@ def decompose_l(target: Series) -> Decomposition:
     coords = _coordinates(target)
     read = coords
     if coords is None:
-        # the walk reads only generic monomials, which are smallest placements
+        # one monomial per coordinate: its smallest placement, on the naturals 1..k
         read = {_mask(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
-    full = (1 << (d + 1)) - 1
-    h = [0] * full  # every mask but the all-ones one, which is no coordinate
+    h = [0] * (2 << d)  # the all-ones mask, which is no coordinate, keeps 0
     rem: dict[int, int] = {}
     for mask, c in read.items():
         h[mask], r = divmod(c, 1 << d - mask.bit_count())
         if r:
             rem[mask] = r
-    ups = table.ups
-    coeffs: dict[SubsetSpec, int] = {}
-    for spec, forced in table.order:
-        if forced == full:
-            continue  # the forced chain joins 0 to inf: the L member is zero
-        s = h[forced]
-        r = rem.get(forced)
-        if r:
-            divisor = 1 << d - forced.bit_count()
-            raise NotDivisibleError(spec, _representative(forced, d), s * divisor + r, divisor)
-        if s:
-            coeffs[spec] = s
-            for mask in ups[forced]:
-                h[mask] -= s
-    found = Decomposition._trusted(d, "L", coeffs)
-    if any(h) or rem or coords is None:
+    if rem:
+        for spec, forced in table.reads:
+            if forced in rem:
+                raise NotDivisibleError(spec, _representative(forced, d), read[forced], 1 << d - forced.bit_count())
+    on_cores = list(map(h.__getitem__, table.cores))
+    g = _subset_passes(on_cores, sub)
+    found = Decomposition._trusted(d, "L", {spec: g[forced] for spec, forced in table.reads if g[forced]})
+    if rem or h != on_cores or coords is None:
         rest = target - reconstruct(found, target.trunc)
         rest_coords = _coordinates(rest)
         # a coordinate's smallest monomial places its word on 1, 2, ...
@@ -296,8 +275,9 @@ def decompose_k(target: Series) -> Decomposition:
     """Decompose onto the K family: L-decompose, then expand each L member in K.
 
     L_S is the signed sum of K_T over T within S, sign (-1)^|T|, so the K
-    coefficient of T is (-1)^|T| times the sum of the L coefficients over
-    the supersets of T: one superset sum over subset bitmasks, d passes.
+    coefficient of T is (-1)^|T| times the sum of the minimal L form's
+    coefficients over the supersets of T: one subset sum over the
+    complemented subset bitmasks, which is the reversed list, d passes.
     """
     d = target.degree
     by_l = decompose_l(target).coeffs
@@ -305,7 +285,7 @@ def decompose_k(target: Series) -> Decomposition:
     sums = [0] * len(specs)
     for spec, c in by_l.items():
         sums[_bits(spec.members)] = c
-    _subset_passes(sums)
+    sums = _subset_passes(sums[::-1], add)[::-1]
     return Decomposition._trusted(d, "K", {
         specs[bits]: -c if bits.bit_count() & 1 else c for bits, c in enumerate(sums) if c
     })

@@ -12,7 +12,13 @@ build a member of degree n with more than 10^7 equality patterns,
 m + 1 letters, so it refuses (m + 1)^2 above 10^7, that is m >= 3162,
 with exit 1 as well.  A --vars below 1 is refused with exit 1 by every
 command that takes it, before the size checks, so its message is the
-truncation one whatever the other flags are.  ``selftest --json`` gives each suite's wall time
+truncation one whatever the other flags are.  A set member with more
+digits than n is refused with exit 1 before it is read as a number.
+``decompose`` prints the minimal form: each distinct L member at most
+once, on its first subset by size and then lexicographically, and its K
+expansion for ``--basis K``.  A NotDivisibleError, which no product of
+members raises, names the target's own coefficient at its monomial.
+``selftest --json`` gives each suite's wall time
 in a ``seconds`` field beside ``name``, ``ok`` and ``detail``; the
 human-readable lines carry no time.  The verifiers (spreading, peak
 sets, selftest) load only for the commands that run them.

@@ -73,10 +73,16 @@ class SubsetSpec:
         """Parse the canonical comma-separated ascending encoding; "" is the empty set."""
         if text == "":
             return cls(n)
-        # a part that is no decimal numeral is dropped, so the text differs from the join
-        parts = [int(p) for p in text.split(",") if p.isdecimal()]
-        if ",".join(map(str, parts)) != text:
+        numerals = text.split(",")
+        # the text member_text writes: ASCII numerals without a leading zero
+        if not all(p.isascii() and p.isdecimal() and (p == "0" or p[0] != "0") for p in numerals):
             raise ValueError(f"subset text {text!r} is not comma-separated members such as 1,2,4")
+        # a numeral wider than n is out of range, and int() refuses one of
+        # over 4,300 digits with a message of its own
+        widest = max(map(len, numerals))
+        if widest > len(str(n)):
+            raise ValueError(f"member of {widest} digits outside 1..{n}")
+        parts = list(map(int, numerals))
         if parts != sorted(set(parts)):
             raise ValueError(f"subset text {text!r} is not strictly ascending")
         return cls(n, frozenset(parts))

@@ -4,7 +4,8 @@ Each reference is an independent slow path, a definition read literally
 or an engine the library replaced: the tuple-filter member, equality
 patterns as tuples of bools with their tuple coordinates (e0, word,
 e_inf), the monomial convolution, the quasi-shuffle of tuple words, the
-L walks on monomials and on M-coordinates, the group-and-count
+L walks on monomials and on M-coordinates, the minimal L form by
+submask sums over tuple-keyed patterns, the group-and-count
 quasisymmetry test, the eager expansion of coordinates, and the
 monomial forms of both oracles and of the case rule.  ``member_product``
 multiplies each pair of members once per session; ``kind_products``,
@@ -283,6 +284,58 @@ def reference_coordinate_walk(target, subset_order=None):
             witness, c = min(left.terms.items(), key=lambda mc: mc[0].sort_key())
             raise NonzeroResidualError(witness, c)
     return found
+
+
+@functools.lru_cache(maxsize=16)
+def reference_forced_lattice(d):
+    """The forced patterns of degree d with their first subsets, and the forced patterns inside each pattern.
+
+    ``firsts`` maps each forced pattern that has a key to its first
+    subset, by size and then lexicographically, in that order;
+    ``inside`` maps the key of every pattern to its middle blocks and the
+    keys of the forced patterns inside it.
+    """
+    firsts = {}
+    for s in all_subsets(d):
+        forced = reference_forced_equalities(s)
+        if reference_pattern_key(forced) is not None:
+            firsts.setdefault(forced, s)
+    inside = {
+        key: (len(key[1]), [reference_pattern_key(f) for f in firsts if all(e or not x for x, e in zip(f, flags))])
+        for flags, key in reference_patterns(d)
+    }
+    return firsts, inside
+
+
+def reference_minimal_read(target):
+    """The minimal L form as (subset, coefficient) pairs by first subset, or None outside the span.
+
+    The L member of a subset carries 2^(middle blocks) at every pattern
+    containing its forced pattern, so a combination with weight W(F) on
+    each forced pattern F has 2^mid(E) times the sum of W over the forced
+    patterns inside E at each pattern E.  The weights are solved forced
+    pattern by forced pattern, fewest equalities first, by subtracting the
+    weights inside; the target is in the span when each is an integer and
+    the combination gives the target at every pattern.
+    """
+    d = target.degree
+    coords = core._coordinates(target)
+    if coords is None:
+        return None
+    c = tuple_keyed(coords, d)
+    firsts, inside = reference_forced_lattice(d)
+    weights = {}
+    for forced in sorted(firsts, key=sum):
+        key = reference_pattern_key(forced)
+        mid, keys = inside[key]
+        q, r = divmod(c.get(key, 0), 2**mid)
+        if r:
+            return None
+        weights[key] = q - sum(weights[k] for k in keys if k != key)
+    if any(c.get(key, 0) != 2**mid * sum(weights[k] for k in keys) for key, (mid, keys) in inside.items()):
+        return None
+    terms = ((s, weights[reference_pattern_key(forced)]) for forced, s in firsts.items())
+    return [(s, w) for s, w in terms if w]
 
 
 def walk_outcome(decompose, target):

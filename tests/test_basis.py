@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -25,7 +26,7 @@ from borderqsym import (
 )
 from borderqsym import basis, core
 from conftest import mono, spec
-from reference import kind_products, reference_coordinate_walk
+from reference import kind_products, reference_coordinate_walk, reference_forced_equalities, spreading_cases
 
 
 class TestInclusionExclusion:
@@ -76,8 +77,8 @@ class TestDecomposeL:
 
     def test_single_members_reconstruct(self):
         # decomposing a single L member always reconstructs it; through
-        # degree 3 the map is the single first-processed spec of the
-        # member's equality class
+        # degree 3 the map is the first spec, by size and then
+        # lexicographically, whose member equals it
         for n in range(5):
             v = max(n, 1)
             for s in all_subsets(n):
@@ -90,25 +91,55 @@ class TestDecomposeL:
                     first = next(o for o in all_subsets(n) if l_series(o, v) == target)
                     assert dec.coeffs == {first: 1}
 
-    def test_single_member_maps_can_have_several_terms(self):
+    def test_single_members_map_to_one_term(self):
         # {2,3} forces one long chain, so its member contains x0^4, the
-        # generic monomial of the earlier-processed {1,3}; the canonical
-        # walk then works off that overshoot through the size-3 class.
-        # The map is still exact, just not a single term.
+        # generic monomial of the earlier {1,3}; the minimal form keeps it
+        # a single term.  {1,2,3} forces what {1,3} forces, so its member
+        # is that one and goes to the first of the two.
         dec = decompose_l(l_series(spec(4, 2, 3), 4))
-        assert dec.coeffs == {
-            spec(4, 1, 3): 1,
-            spec(4, 2, 3): 1,
-            spec(4, 1, 2, 3): -1,
-        }
+        assert dec.coeffs == {spec(4, 2, 3): 1}
         assert reconstruct(dec, 4) == l_series(spec(4, 2, 3), 4)
-        dec = decompose_l(l_series(spec(4, 3, 4), 4))
-        assert dec.coeffs == {
-            spec(4, 2, 4): 1,
-            spec(4, 3, 4): 1,
-            spec(4, 2, 3, 4): -1,
-        }
-        assert reconstruct(dec, 4) == l_series(spec(4, 3, 4), 4)
+        dec = decompose_l(l_series(spec(4, 1, 2, 3), 4))
+        assert dec.coeffs == {spec(4, 1, 3): 1}
+        assert reconstruct(dec, 4) == l_series(spec(4, 1, 2, 3), 4)
+
+    def test_every_member_to_degree_8_maps_to_the_first_subset_of_its_forced_mask(self):
+        for n in range(9):
+            first = {}
+            for s in all_subsets(n):
+                forced = reference_forced_equalities(s)
+                first.setdefault(forced, s)
+                expected = {} if all(forced) else {first[forced]: 1}
+                assert decompose_l(l_series(s, max(n, 1))).coeffs == expected, s
+
+    def test_no_decomposition_to_degree_7_repeats_a_forced_mask(self):
+        # every product to degree 6 and every 7th at 7
+        count = 0
+        for degree, every in [*((d, 1) for d in range(7)), (7, 7)]:
+            for product in kind_products(degree, every):
+                try:
+                    dec = decompose_l(product)
+                except (NotDivisibleError, NonzeroResidualError):
+                    continue
+                masks = [reference_forced_equalities(s) for s in dec.coeffs]
+                assert len(set(masks)) == len(masks), dec
+                count += 1
+        assert count == 2749
+
+    def test_in_span_verdict_agrees_with_rational_solve(self):
+        # products to degree 5 and perturbed copies, some not quasisymmetric
+        verdicts = []
+        for series, _ in spreading_cases():
+            columns = [l_series(s, series.trunc) for s in all_subsets(series.degree)]
+            try:
+                decompose_l(series)
+            except (NotDivisibleError, NonzeroResidualError):
+                in_span = False
+            else:
+                in_span = True
+            assert in_span == (rational_solve(columns, series) is not None), series
+            verdicts.append(in_span)
+        assert (verdicts.count(True), verdicts.count(False)) == (436, 176)
 
     def test_zero_series_decomposes_empty(self):
         dec = decompose_l(Series.zero(3, 3))
@@ -166,7 +197,9 @@ class TestDecomposeL:
 
         def forced_masks(d):
             full = (1 << (d + 1)) - 1
-            return len({forced for _, forced in basis._mask_table(d).order} - {full})
+            reads = basis._mask_table(d).reads
+            assert full not in {forced for _, forced in reads}
+            return len(reads)
 
         assert [forced_masks(d) for d in range(1, 13)] == [w(d + 1) - 1 for d in range(1, 13)] == [
             1, 3, 6, 11, 20, 36, 64, 113, 199, 350, 615, 1080
@@ -177,17 +210,34 @@ class TestDecomposeL:
         assert forced_masks(0) == 1
 
 
-def test_superset_table_lists_every_superset_of_each_forced_mask():
-    counts = []
+def test_mask_table_reads_and_cores_to_degree_8():
     for d in range(9):
         full = (2 << d) - 1
         table = basis._mask_table(d)
-        assert set(table.ups) == {forced for _, forced in table.order} - {full}
-        for forced, masks in table.ups.items():
-            assert len(masks) == len(set(masks))
-            assert set(masks) == {mask for mask in range(full) if mask & forced == forced}
-        counts.append(sum(map(len, table.ups.values())))
-    assert counts == [1, 3, 9, 26, 71, 188, 490, 1264, 3237]
+        # brute force: each forced mask below all-ones with its first subset
+        first = {}
+        for s in all_subsets(d):
+            first.setdefault(sum(1 << j for j in {i - 1 for i in s.members} | s.members), s)
+        first.pop(full, None)
+        assert list(table.reads) == [(s, forced) for forced, s in first.items()]
+        for mask in range(full):
+            inside = [forced for forced in first if forced & mask == forced]
+            assert table.cores[mask] in inside
+            assert all(forced & table.cores[mask] == forced for forced in inside)
+
+
+def test_yates_passes_match_naive_subset_and_moebius_sums():
+    rng = random.Random(11)
+    for k in range(9):
+        size = 1 << k
+        values = [rng.randint(-9, 9) for _ in range(size)]
+        copy = list(values)
+        inside = [[f for f in range(size) if f & e == f] for e in range(size)]
+        assert basis._subset_passes(values, add) == [sum(values[f] for f in fs) for fs in inside]
+        assert basis._subset_passes(values, sub) == [
+            sum((-1) ** (e ^ f).bit_count() * values[f] for f in fs) for e, fs in enumerate(inside)
+        ]
+        assert values == copy
 
 
 class TestDecomposeK:

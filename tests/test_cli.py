@@ -189,6 +189,8 @@ class TestExitCodes:
         code, _, err = run("kseries", "--n", "2", "--set", "1,")
         assert code == 1
         assert err == "error: subset text '1,' is not comma-separated members such as 1,2,4\n"
+        code, _, err = run("kseries", "--n", "2", "--set", "1" * 5000)
+        assert (code, err) == (1, "error: member of 5000 digits outside 1..2\n")
 
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0

@@ -3,8 +3,9 @@
 ``Series.mul`` works on bordered M-coordinates when its factors are
 quasisymmetric; ``decompose_l`` and ``reconstruct`` always do.  Products
 must equal the monomial convolution; decompositions of any target must
-equal both L walks, on monomials at V and on M-coordinates, in
-coefficients, their order and every error field;
+give the verdict and the error fields of both L walks, on monomials at V
+and on M-coordinates (the NotDivisible coefficient being the target's
+own), and in span the coefficients, in their order, of the minimal read;
 ``relabel_check`` and the coordinate read must agree with the
 group-and-count test; a coordinate-born series must list the monomials
 of the eager expansion in order and answer every operation as a copy
@@ -58,6 +59,7 @@ from reference import (
     reference_expand,
     reference_key,
     reference_mask,
+    reference_minimal_read,
     reference_product,
     reference_quasi_shuffle,
     reference_relabel,
@@ -79,11 +81,26 @@ def check_product(kind_a, a, kind_b, b, trunc):
 
 
 def check_walk(reference, target):
-    """decompose_l against a reference walk, and decompose_k against the K expansion of its answer."""
+    """decompose_l against a reference walk in its verdict and errors, and against the minimal read in its answer.
+
+    A NotDivisibleError carries the target's own coefficient at its
+    monomial, where the walk carries its running residual; every other
+    error field is the walk's.  decompose_k must give the K expansion of
+    the minimal read.
+    """
     expected = walk_outcome(reference, target)
-    assert walk_outcome(decompose_l, target) == expected
     if expected[0] == "ok":
-        assert decompose_k(target).coeffs == in_k_basis(dict(expected[1]))
+        minimal = reference_minimal_read(target)
+        assert minimal is not None
+        assert decompose_k(target).coeffs == in_k_basis(dict(minimal))
+        expected = ("ok", minimal)
+    elif expected[0] != "truncation":
+        assert reference_minimal_read(target) is None
+    if expected[0] == "not divisible":
+        _, s, m, _, divisor, _ = expected
+        err = NotDivisibleError(s, m, target.coefficient(m), divisor)
+        expected = ("not divisible", s, m, err.coefficient, divisor, str(err))
+    assert walk_outcome(decompose_l, target) == expected
     return expected[0]
 
 
@@ -163,7 +180,7 @@ def test_random_series_agree_with_the_walk(series):
 
 
 def test_residual_without_smallest_placements():
-    # x2^3 places its word on 2, not 1, so the walk never reads it
+    # x2^3 places its word on 2, not 1, so the read skips it
     with pytest.raises(NonzeroResidualError) as err:
         decompose_l(Series(3, 4, {mono("x2^3"): 1}))
     assert (err.value.witness, err.value.coefficient) == (mono("x2^3"), 1)
@@ -446,15 +463,16 @@ def test_random_targets_match_the_coordinate_walk(target):
 
 class TestWalkEmulationPins:
     def test_not_divisible_after_earlier_subtractions(self):
-        # x1^3 has coordinate 3 in the target; L_{} takes 2 of it first
+        # x1^3 has coordinate 3 in the target; the walk's L_{} takes 2 of
+        # it first, and the error gives the target's own 3
         x1_cubed = reference_mask((0, (3,), 0))
         target = k_series(spec(3), 3) + core._expand(3, 3, {x1_cubed: 1})
         assert core._coordinates(target)[x1_cubed] == 3
         with pytest.raises(NotDivisibleError) as err:
             decompose_l(target)
         e = err.value
-        assert (e.spec, e.monomial, e.coefficient, e.divisor) == (spec(3, 2), mono("x1^3"), 1, 2)
-        assert str(e) == "coefficient 1 of x1^3 not divisible by 2 while processing SubsetSpec(3, {2})"
+        assert (e.spec, e.monomial, e.coefficient, e.divisor) == (spec(3, 2), mono("x1^3"), 3, 2)
+        assert str(e) == "coefficient 3 of x1^3 not divisible by 2 while processing SubsetSpec(3, {2})"
         assert check_walk(reference_coordinate_walk, target) == "not divisible"
 
     def test_residual_left_off_the_forced_masks(self):
@@ -483,7 +501,7 @@ class TestWalkEmulationPins:
 
         monkeypatch.setattr(SubsetSpec, "__post_init__", refuse)
         for module in (families, basis):
-            for name in ("_forced", "_split", "_pattern_coords", "all_subsets"):
+            for name in ("_forced", "_lone", "_split", "_pattern_coords", "all_subsets"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         assert [(decompose_l(p).coeffs, decompose_k(p).coeffs) for p in products] == expected

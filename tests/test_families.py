@@ -61,6 +61,10 @@ class TestSubsetSpec:
         for text in ("1,", ",1", " 1", "+1", "01", "1, 2", "1,,2", "1_0", "x"):
             with pytest.raises(ValueError, match="is not comma-separated members such as 1,2,4"):
                 SubsetSpec.parse(5, text)
+        # a numeral wider than n is refused before int(), which caps its input at 4,300 digits
+        for text in ("10", "1," + "1" * 5000):
+            with pytest.raises(ValueError, match=f"^member of {len(text.split(',')[-1])} digits outside 1..5$"):
+                SubsetSpec.parse(5, text)
 
     def test_an_immutable_hashable_value(self):
         s = spec(4, 1, 3)

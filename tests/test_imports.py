@@ -6,8 +6,9 @@ would go unnoticed.  A name counts as used when the module reads it
 module may define again a helper that ``conftest.py`` or
 ``reference.py`` shares, or import from another test module;
 ``reference.py`` holds no test, since pytest would not collect it; the
-mask codec of M-coordinates is defined once, in ``core.py``; no library
-module imports ``dataclasses``; and the package's table of names that
+mask codec of M-coordinates is defined once, in ``core.py``; the
+lone-bit rule is written once, in ``families._lone``; no library module
+imports ``dataclasses``; and the package's table of names that
 load on first use agrees with their modules and with ``__all__``.
 """
 
@@ -108,6 +109,29 @@ def test_the_mask_codec_lives_in_core():
         if name in CODEC
     )
     assert homes == sorted((name, "core.py") for name in CODEC)
+
+
+def shifted_by_one(node, op):
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, op)
+        and isinstance(node.right, ast.Constant) and node.right.value == 1
+    )
+
+
+def test_the_lone_bit_rule_lives_in_families():
+    # The neighbour expression ``m << 1 | m >> 1``, in either order, is the
+    # lone-bit rule; every other reading of lone bits calls families._lone.
+    homes = []
+    for path in MODULES:
+        tree = parsed(path)
+        # ast.walk goes outside in, so a nested function overwrites its parent
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+                sides = (node.left, node.right)
+                if any(shifted_by_one(a, ast.LShift) and shifted_by_one(b, ast.RShift) for a, b in (sides, sides[::-1])):
+                    homes.append((path.name, owner.get(id(node))))
+    assert homes == [("families.py", "_lone")]
 
 
 def test_no_library_module_imports_dataclasses():
