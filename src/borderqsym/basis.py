@@ -55,7 +55,7 @@ from itertools import chain, combinations
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
-from .core import Monomial, Series, TruncationError, _check_trunc, _coordinates, _expand, _mask
+from .core import Monomial, Series, TruncationError, _check_int, _check_trunc, _coordinates, _expand, _mask
 from .families import SubsetSpec, _bits, _forced, _lone, _pattern_coords, _representative, all_subsets
 
 if TYPE_CHECKING:
@@ -94,27 +94,25 @@ class Decomposition:
     ``coeffs`` maps each participating subset to its nonzero integer
     coefficient; reconstructing the combination at any V >= degree
     reproduces the decomposed series exactly.  Equal when degree, basis
-    and coefficients are; unhashable, since ``coeffs`` is a dict.
+    and coefficients are; unhashable, since ``coeffs`` is a dict.  The
+    constructor validates every key and coefficient once.  Not frozen:
+    no cache shares a decomposition, so each one is its caller's own.
     """
 
     __slots__ = ("degree", "basis", "coeffs")
 
     def __init__(self, degree: int, basis: str, coeffs: Optional[dict[SubsetSpec, int]] = None):
+        _check_int(degree, "degree", "nonnegative")
+        if basis not in ("K", "L"):
+            raise ValueError(f"basis must be 'K' or 'L', got {basis!r}")
+        coeffs = {} if coeffs is None else coeffs
+        for spec, c in coeffs.items():
+            if not isinstance(spec, SubsetSpec) or spec.n != degree:
+                raise ValueError(f"{spec!r} does not live in degree {degree}")
+            _check_int(c, "coefficient", "nonzero", spec)
         self.degree = degree
         self.basis = basis
-        self.coeffs = {} if coeffs is None else coeffs
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 0:
-            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
-        if self.basis not in ("K", "L"):
-            raise ValueError(f"basis must be 'K' or 'L', got {self.basis!r}")
-        for spec, c in self.coeffs.items():
-            if spec.n != self.degree:
-                raise ValueError(f"{spec!r} does not live in degree {self.degree}")
-            if not isinstance(c, int) or isinstance(c, bool) or c == 0:
-                raise ValueError(f"coefficient of {spec!r} must be a nonzero integer, got {c!r}")
+        self.coeffs = coeffs
 
     @classmethod
     def _trusted(cls, degree: int, basis: str, coeffs: dict[SubsetSpec, int]) -> "Decomposition":
@@ -293,9 +291,9 @@ def decompose_k(target: Series) -> Decomposition:
 
 def reconstruct(dec: Decomposition, trunc: int) -> Series:
     """Evaluate the combination at truncation V >= degree."""
+    _check_trunc(trunc)
     if trunc < dec.degree:
         raise TruncationError(f"need trunc >= degree {dec.degree}, got {trunc}")
-    _check_trunc(trunc)
     coords: dict[int, int] = {}
     for spec, c in dec.coeffs.items():
         for key, v in _pattern_coords(dec.basis, spec, 2).items():

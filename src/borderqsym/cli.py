@@ -108,19 +108,12 @@ def _emit_series(series: Series, as_json: bool) -> None:
         print(f"{c} {m}")
 
 
-def _cmd_kseries(args) -> int:
+def _cmd_member(args) -> int:
+    # kseries and lseries, told apart by the kind their subparser sets
     spec = SubsetSpec.parse(args.n, args.set)
     trunc = args.vars if args.vars is not None else max(args.n, 1)
     _check_request(args.n, trunc, args.n)
-    _emit_series(k_series_q(spec, trunc, args.q), args.json)
-    return 0
-
-
-def _cmd_lseries(args) -> int:
-    spec = SubsetSpec.parse(args.n, args.set)
-    trunc = args.vars if args.vars is not None else max(args.n, 1)
-    _check_request(args.n, trunc, args.n)
-    _emit_series(l_series(spec, trunc), args.json)
+    _emit_series(k_series_q(spec, trunc, args.q) if args.kind == "K" else l_series(spec, trunc), args.json)
     return 0
 
 
@@ -225,19 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="borderqsym", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, **defaults) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, **defaults)
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         return p
 
-    p = add("kseries", _cmd_kseries, "construct a K family member")
+    p = add("kseries", _cmd_member, "construct a K family member", kind="K")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", default="", help="comma-separated ascending members, empty for {}")
     p.add_argument("--vars", type=int, help="naturals kept (default: max(n, 1))")
     p.add_argument("--q", type=int, default=2, help="coefficient base (default 2)")
 
-    p = add("lseries", _cmd_lseries, "construct an L family member")
+    p = add("lseries", _cmd_member, "construct an L family member", kind="L")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", default="")
     p.add_argument("--vars", type=int)

@@ -32,9 +32,11 @@ coordinates, or the finding that it has none, are read once and kept
 beside it.  The monomial convolution runs only when a factor is not
 quasisymmetric.
 
-Everything here is immutable after construction, so values can be shared
-freely across threads (a series keeps its M-coordinates once read; they
-never change, so a race only repeats the read).
+A :class:`Series` refuses assignment to its attributes and its ``terms``
+is read-only, so a series can be shared freely, across threads and by
+the member caches (it keeps its M-coordinates once read; they never
+change, so a race only repeats the read).  A :class:`Monomial` is not
+frozen: no cache shares one, and each caller owns the monomials it gets.
 """
 
 from __future__ import annotations
@@ -75,9 +77,42 @@ def index_str(i: Index) -> str:
     return "xinf" if i == INF else f"x{i}"
 
 
+def _check_int(value: int, what: str, bound: str = "", of: object = None) -> None:
+    """Raise ValueError unless ``value`` is an int within its bound.
+
+    ``bound`` is "" (none), "nonnegative", "positive" or "nonzero", and the
+    message names it, as in ``degree must be a nonnegative integer, got
+    -1``.  With ``of`` given, the message opens with ``{what} of {of}``,
+    formatted only on failure.  A bool is refused: it is an int subclass,
+    but True is no degree, count or coefficient.
+    """
+    if isinstance(value, int) and not isinstance(value, bool) and (
+        not bound or (value != 0 if bound == "nonzero" else value >= (1 if bound == "positive" else 0))
+    ):
+        return
+    if of is not None:
+        what = f"{what} of {of}"
+    raise ValueError(f"{what} must be {'a ' + bound if bound else 'an'} integer, got {value!r}")
+
+
 def _check_trunc(trunc: int) -> None:
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
-        raise ValueError(f"truncation must be a positive integer, got {trunc!r}")
+    _check_int(trunc, "truncation", "positive")
+
+
+class _Frozen:
+    """A value whose fields its own constructors set once, through ``object.__setattr__``.
+
+    Assigning or deleting a field raises AttributeError, so a value that a
+    cache hands out cannot be changed for the next caller.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def alphabet(trunc: int) -> tuple[Index, ...]:
@@ -103,8 +138,7 @@ class Monomial:
         items = dict(exponents)
         for i, e in items.items():
             _check_index(i)
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"exponent of {index_str(i)} must be a nonnegative integer, got {e!r}")
+            _check_int(e, "exponent", "nonnegative", index_str(i))
         self.pairs: tuple[tuple[Index, int], ...] = tuple(
             sorted((i, e) for i, e in items.items() if e > 0)
         )
@@ -217,8 +251,7 @@ def all_monomials(degree: int, trunc: int) -> Iterator[Monomial]:
     alphabet: each index takes its exponents in descending order, and the
     pairs are built directly, each one tuple from a per-call table.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
+    _check_int(degree, "degree", "nonnegative")
     trusted = Monomial._trusted
     # cells[p][e] is the pair (index p of the alphabet, e)
     cells = [[(i, e) for e in range(degree + 1)] for i in alphabet(trunc)]
@@ -239,50 +272,54 @@ def all_monomials(degree: int, trunc: int) -> Iterator[Monomial]:
         yield trusted((), 0)
 
 
-class Series:
+class Series(_Frozen):
     """A homogeneous series: a sparse map from degree-d monomials to integers.
 
-    Invariants enforced on construction: every stored monomial has the
-    tracked degree, uses natural indices up to ``trunc`` only, and no
-    stored coefficient is zero.  A zero series keeps its degree tag.
-    ``terms`` is a read-only view, so a shared (cached) series cannot be
-    altered through it.  The constructor keeps a validated dict behind
-    it; a series born from M-coordinates (see :func:`_expand`) keeps only
-    its coordinates, and its ``terms`` places them at V on demand.
+    Invariants enforced on construction: every key is a monomial of the
+    tracked degree using natural indices up to ``trunc`` only, whatever
+    its coefficient, every coefficient is an integer, and no stored
+    coefficient is zero.  A zero series keeps its degree tag.  The
+    attributes refuse assignment and ``terms`` is a read-only view, so a
+    shared (cached) series cannot be altered; ``copy.copy`` returns the
+    series itself.  The constructor keeps a validated dict behind
+    ``terms``; a series born from M-coordinates (see :func:`_expand`)
+    keeps only its coordinates, and its ``terms`` places them at V on
+    demand.
     """
 
     __slots__ = ("degree", "trunc", "terms", "_coords")
 
     def __init__(self, degree: int, trunc: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-            raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
+        _check_int(degree, "degree", "nonnegative")
         _check_trunc(trunc)
         clean: dict[Monomial, int] = {}
         for m, c in dict(terms).items():
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficient of {m} must be an integer, got {c!r}")
-            if c == 0:
-                continue
+            if not isinstance(m, Monomial):
+                raise ValueError(f"term {m!r} is not a Monomial")
+            _check_int(c, "coefficient", of=m)
             if m.degree != degree:
                 raise ValueError(f"monomial {m} has degree {m.degree}, series is homogeneous of degree {degree}")
             if m.max_natural() > trunc:
                 raise ValueError(f"monomial {m} uses a natural index beyond truncation {trunc}")
-            clean[m] = c
-        self.degree = degree
-        self.trunc = trunc
-        self.terms = MappingProxyType(clean)
-        self._coords = None  # M-coordinates once read; False when there are none
+            if c:
+                clean[m] = c
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+        object.__setattr__(self, "_coords", None)  # M-coordinates once read; False when there are none
 
     @classmethod
     def _trusted(cls, degree: int, trunc: int, terms: Mapping[Monomial, int], coords: Mapping[int, int]) -> "Series":
-        # For terms that are valid by construction, with their M-coordinates;
-        # a dict is wrapped read-only, a placement view is read-only already.
+        # For terms that are valid by construction and read-only, with their M-coordinates.
         s = object.__new__(cls)
-        s.degree = degree
-        s.trunc = trunc
-        s.terms = MappingProxyType(terms) if isinstance(terms, dict) else terms
-        s._coords = coords
+        object.__setattr__(s, "degree", degree)
+        object.__setattr__(s, "trunc", trunc)
+        object.__setattr__(s, "terms", terms)
+        object.__setattr__(s, "_coords", coords)
         return s
+
+    def __copy__(self) -> "Series":
+        return self
 
     @classmethod
     def zero(cls, degree: int, trunc: int) -> "Series":
@@ -311,8 +348,7 @@ class Series:
         return _expand(self.degree, self.trunc, out)
 
     def scale(self, c: int) -> "Series":
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"scale factor must be an integer, got {c!r}")
+        _check_int(c, "scale factor")
         coords = _coordinates(self)
         if coords is None:
             return Series(self.degree, self.trunc, {m: c * v for m, v in self.terms.items()})
@@ -457,7 +493,8 @@ def _coordinates(series: Series) -> Optional[Mapping[int, int]]:
     """
     coords = series._coords
     if coords is None:
-        coords = series._coords = _read_coordinates(series)
+        coords = _read_coordinates(series)
+        object.__setattr__(series, "_coords", coords)
     return None if coords is False else coords
 
 

@@ -26,8 +26,9 @@ the decomposition's mask tables and the oracle's relations and
 resolutions read the same mask rules here.
 
 The generic monomials of an L member are those whose only equalities are
-the forced ones; they drive the decomposition of products back onto the
-L family.
+the forced ones: the monomials of its forced mask, whose minimal
+representative :func:`m_generic_monomial` returns.  The decomposition
+reads the forced masks themselves, not their monomials.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .core import INF, Monomial, Series, TruncationError, _check_trunc, _expand, _letters, _mask, _split
+from .core import INF, Monomial, Series, TruncationError, _check_int, _check_trunc, _expand, _Frozen
+from .core import _letters, _mask, _split
 
 # Entries of each member cache.  The largest working set of any benchmark
 # workload is about 500 members (closure: every K and L member of degree
@@ -45,7 +47,7 @@ from .core import INF, Monomial, Series, TruncationError, _check_trunc, _expand,
 _MEMBER_CACHE = 1024
 
 
-class SubsetSpec:
+class SubsetSpec(_Frozen):
     """A subset of [n] together with its ambient n.
 
     Immutable and hashable; two specs are equal when n and the members are.
@@ -54,18 +56,13 @@ class SubsetSpec:
     __slots__ = ("n", "members")
 
     def __init__(self, n: int, members: frozenset[int] = frozenset()):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
-        self.__post_init__()
-
-    def __post_init__(self):
-        # bool is an int subclass, but True is not a position
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
-        members = frozenset(self.members)
+        _check_int(n, "n", "nonnegative")
+        members = frozenset(members)
         for i in members:
-            if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.n:
-                raise ValueError(f"member {i!r} outside 1..{self.n}")
+            # bool is an int subclass, but True is not a position
+            if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
+                raise ValueError(f"member {i!r} outside 1..{n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -106,12 +103,6 @@ class SubsetSpec:
 
     def __hash__(self) -> int:
         return hash((self.n, self.members))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__; slot state would meet __setattr__
@@ -204,8 +195,7 @@ def l_series(spec: SubsetSpec, trunc: int) -> Series:
 
 def k_series_q(spec: SubsetSpec, trunc: int, q: int) -> Series:
     """The K member with coefficient base q in place of 2; q must be nonzero."""
-    if not isinstance(q, int) or isinstance(q, bool) or q == 0:
-        raise ValueError(f"q must be a nonzero integer, got {q!r}")
+    _check_int(q, "q", "nonzero")
     return _family("K", spec, trunc, q)
 
 
@@ -225,6 +215,7 @@ def m_generic_monomial(spec: SubsetSpec, trunc: int) -> Optional[Monomial]:
     the forced chain identifies 0 with inf (the L member is then zero).
     It uses at most n naturals, so it always fits once V >= n.
     """
+    _check_trunc(trunc)
     if trunc < spec.n:
         raise TruncationError(f"need trunc >= {spec.n}, got {trunc}")
     forced = _forced(_bits(spec.members))

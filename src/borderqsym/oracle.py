@@ -12,13 +12,15 @@ variables this canonical choice carries the same coefficient as any
 other realization of the resolved mask.
 
 The spreading check asserts that every resolution doubles the
-coefficient; L members and their products satisfy it, which is what
-makes the elimination in the basis module terminate at zero.  Relations
-and resolutions depend only on a monomial's equality mask, and the
-coefficient of a quasisymmetric series only on the monomial's bordered
-M-coordinate, which is that mask, so such a series is checked on its
-2^(n+1) - 1 equality masks, reading each coefficient at its mask,
-instead of on every monomial of the slice.
+coefficient; L members and their products satisfy it.  Resolving a lone
+bit keeps the mask's forced core and adds one middle block, so spreading
+is, one lone bit at a time, the condition that the basis module's
+Möbius read tests when it asks each mask's quotient by 2^mid to equal
+that of its forced core.  Relations and resolutions depend only on a
+monomial's equality mask, and the coefficient of a quasisymmetric series
+only on the monomial's bordered M-coordinate, which is that mask, so
+such a series is checked on its 2^(n+1) - 1 equality masks, reading each
+coefficient at its mask, instead of on every monomial of the slice.
 
 The case-rule coefficient function recomputes degree-1 K product
 coefficients per variable, without ever multiplying series.  Its case
@@ -44,7 +46,9 @@ from .core import (
     Monomial,
     Series,
     TruncationError,
+    _check_trunc,
     _coordinates,
+    _Frozen,
     _mask,
     all_monomials,
     is_border,
@@ -58,7 +62,7 @@ class RelationKind(Enum):
     BORDER_INF = "border_inf"
 
 
-class ProblematicRelation:
+class ProblematicRelation(_Frozen):
     """One equality that keeps a monomial from being special.
 
     ``position`` is the pair index i, 0 <= i <= n, of the equality
@@ -80,12 +84,6 @@ class ProblematicRelation:
 
     def __hash__(self) -> int:
         return hash((self.kind, self.position))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return ProblematicRelation, (self.kind, self.position)
@@ -123,6 +121,7 @@ def resolve(m: Monomial, relation: ProblematicRelation, trunc: int) -> Monomial:
     It needs at most ``m.degree`` of them, so any trunc >= degree always
     suffices.
     """
+    _check_trunc(trunc)
     if relation not in problematic_relations(m):
         raise ValueError(f"{relation} is not a problematic relation of {m}")
     out = _representative(_mask(m) & ~(1 << relation.position), m.degree)
@@ -133,6 +132,7 @@ def resolve(m: Monomial, relation: ProblematicRelation, trunc: int) -> Monomial:
 
 def resolve_all(m: Monomial, trunc: int) -> Monomial:
     """Resolve until no problematic relation remains; each step removes one."""
+    _check_trunc(trunc)
     while True:
         relations = problematic_relations(m)
         if not relations:

@@ -21,6 +21,13 @@ from .oracle import k1_coefficient
 from .shuffle import k1_product
 
 
+# The bound of each sweep, read by its loop and by its name in SUITES.
+_CLOSURE_DEGREE = 5  # n + m
+_MOBIUS_N = 6
+_DEGREE1_M = 4
+_CASE_M = 4
+
+
 def q_square_in_span(q: int) -> bool:
     # whether the square of the degree-1 member spans the degree-2 members, base q
     one = SubsetSpec(1)
@@ -29,9 +36,9 @@ def q_square_in_span(q: int) -> bool:
     return rational_solve(columns, square) is not None
 
 
-def closure(max_degree: int = 5) -> tuple[bool, str]:
+def closure() -> tuple[bool, str]:
     count = 0
-    for d in range(max_degree + 1):
+    for d in range(_CLOSURE_DEGREE + 1):
         trunc = max(d, 1)
         for n in range(d + 1):
             for lam in all_subsets(n):
@@ -51,9 +58,9 @@ def closure(max_degree: int = 5) -> tuple[bool, str]:
     return True, f"{count} products decomposed and reconstructed exactly"
 
 
-def mobius(max_n: int = 6) -> tuple[bool, str]:
+def mobius() -> tuple[bool, str]:
     count = 0
-    for n in range(max_n + 1):
+    for n in range(_MOBIUS_N + 1):
         for spec in all_subsets(n):
             for outer, inner in ((k_from_l, l_from_k), (l_from_k, k_from_l)):
                 acc: dict[SubsetSpec, int] = {}
@@ -66,9 +73,9 @@ def mobius(max_n: int = 6) -> tuple[bool, str]:
     return True, f"{count} round trips are identities"
 
 
-def degree1_rule(max_m: int = 4) -> tuple[bool, str]:
+def degree1_rule() -> tuple[bool, str]:
     count = 0
-    for m in range(max_m + 1):
+    for m in range(_DEGREE1_M + 1):
         trunc = m + 1
         for om in all_subsets(m):
             peaks = Decomposition(m + 1, "K", dict(Counter(k1_product(om))))
@@ -80,9 +87,9 @@ def degree1_rule(max_m: int = 4) -> tuple[bool, str]:
     return True, f"{count} products match their peak-set expansions"
 
 
-def case_rule(max_m: int = 4) -> tuple[bool, str]:
+def case_rule() -> tuple[bool, str]:
     count = 0
-    for m in range(max_m + 1):
+    for m in range(_CASE_M + 1):
         trunc = m + 1
         one = k_series(SubsetSpec(1), trunc)
         for om in all_subsets(m):
@@ -102,9 +109,9 @@ def q_rigidity() -> tuple[bool, str]:
 
 
 SUITES: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
-    ("closure (n+m <= 5, both bases)", closure),
-    ("inclusion-exclusion round trips (n <= 6)", mobius),
-    ("degree-1 product rule (m <= 4)", degree1_rule),
-    ("case-rule coefficients (m <= 4)", case_rule),
+    (f"closure (n+m <= {_CLOSURE_DEGREE}, both bases)", closure),
+    (f"inclusion-exclusion round trips (n <= {_MOBIUS_N})", mobius),
+    (f"degree-1 product rule (m <= {_DEGREE1_M})", degree1_rule),
+    (f"case-rule coefficients (m <= {_CASE_M})", case_rule),
     ("base-2 rigidity (q = 3 fails, q = 2 works)", q_rigidity),
 ]

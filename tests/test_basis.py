@@ -320,10 +320,10 @@ class TestDecompositionObject:
         product = k_series(spec(3, 1), 7) * k_series(spec(4, 2, 3), 7)
         expected = (decompose_l(product), decompose_k(product))
 
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("coefficients revalidated")
 
-        monkeypatch.setattr(Decomposition, "__post_init__", refuse)
+        monkeypatch.setattr(Decomposition, "__init__", refuse)
         assert (decompose_l(product), decompose_k(product)) == expected
         monkeypatch.undo()
         with pytest.raises(ValueError):
@@ -337,6 +337,15 @@ class TestDecompositionObject:
     def test_reconstruct_refuses_truncation_zero_at_degree_zero(self):
         with pytest.raises(ValueError, match="truncation must be a positive integer, got 0"):
             reconstruct(Decomposition(0, "L", {spec(0): 1}), 0)
+
+    @pytest.mark.parametrize("trunc", ["5", 1.5, 0])
+    def test_reconstruct_checks_the_truncation_before_comparing_it(self, trunc):
+        with pytest.raises(ValueError, match=f"^truncation must be a positive integer, got {trunc!r}$"):
+            reconstruct(Decomposition(2, "L", {spec(2): 1}), trunc)
+
+    def test_a_key_that_is_no_subset_is_refused(self):
+        with pytest.raises(ValueError, match="^'a' does not live in degree 2$"):
+            Decomposition(2, "K", {"a": 1})
 
     def test_reconstruct_refuses_a_bool_truncation(self):
         with pytest.raises(ValueError, match="truncation must be a positive integer, got True"):

@@ -1,5 +1,6 @@
 """Core arithmetic: monomials, series, text encoding, quasisymmetry."""
 
+import copy
 import itertools
 import math
 from collections.abc import Mapping
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 
 from borderqsym import (
     INF,
+    Decomposition,
     Monomial,
     Series,
+    SubsetSpec,
     all_monomials,
     alphabet,
     k_series,
+    k_series_q,
     l_series,
     relabel_check,
 )
@@ -171,6 +175,27 @@ class TestSeriesBasics:
             k_series(spec(2, 1), 3).restrict(True)
         assert Series(1, 1, {mono("x1"): 0}).is_zero()  # zero coefficients dropped
 
+    def test_every_key_is_checked_whatever_its_coefficient(self):
+        with pytest.raises(ValueError, match="^term 'x1' is not a Monomial$"):
+            Series(1, 1, {"x1": 1})
+        with pytest.raises(ValueError, match="^monomial x1 has degree 1, series is homogeneous of degree 2$"):
+            Series(2, 2, {mono("x1"): 0})
+        with pytest.raises(ValueError, match="^monomial x2 uses a natural index beyond truncation 1$"):
+            Series(1, 1, {mono("x2"): 0})
+
+    def test_attributes_refuse_assignment(self):
+        s = Series(1, 1, {mono("x1"): 1})
+        for name in ("degree", "trunc", "terms", "_coords"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(s, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(s, name)
+        assert (s.degree, s.trunc, dict(s.terms)) == (1, 1, {mono("x1"): 1})
+
+    def test_a_copy_is_the_series_itself(self):
+        for s in (Series(1, 1, {mono("x1"): 1}), k_series(spec(2, 1), 2)):
+            assert copy.copy(s) is s
+
     def test_coefficient_lookup(self):
         a = k_series(spec(2, 1), 2)
         assert a.coefficient(mono("x0*x1")) == 2
@@ -200,6 +225,34 @@ def test_all_monomials_counts():
     for d, v in [(0, 1), (2, 2), (3, 2), (4, 3)]:
         assert len(list(all_monomials(d, v))) == math.comb(v + 1 + d, d)
     assert len(set(all_monomials(3, 2))) == math.comb(6, 3)
+
+
+@pytest.mark.parametrize("degree", [-1, 2.0, True])
+def test_all_monomials_refuses_a_degree_that_is_no_nonnegative_integer(degree):
+    with pytest.raises(ValueError, match=f"^degree must be a nonnegative integer, got {degree!r}$"):
+        list(all_monomials(degree, 2))
+
+
+# One call per integer rule, with its whole message: every rule is
+# core._check_int, and each message reads as it did before.
+INTEGER_RULES = [
+    (lambda: Monomial({1: -1}), "exponent of x1 must be a nonnegative integer, got -1"),
+    (lambda: Series(-1, 1), "degree must be a nonnegative integer, got -1"),
+    (lambda: Series(1, 0), "truncation must be a positive integer, got 0"),
+    (lambda: Series(1, 1, {mono("x1"): 1.0}), "coefficient of x1 must be an integer, got 1.0"),
+    (lambda: Series(1, 1).scale(True), "scale factor must be an integer, got True"),
+    (lambda: SubsetSpec(-2), "n must be a nonnegative integer, got -2"),
+    (lambda: k_series_q(spec(1), 1, 0), "q must be a nonzero integer, got 0"),
+    (lambda: Decomposition("1", "K"), "degree must be a nonnegative integer, got '1'"),
+    (lambda: Decomposition(1, "K", {spec(1): 0}), "coefficient of SubsetSpec(1, {}) must be a nonzero integer, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", INTEGER_RULES, ids=[message for _, message in INTEGER_RULES])
+def test_each_integer_rule_keeps_its_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_max_natural():
@@ -346,7 +399,8 @@ class _CountedTerms(Mapping):
 def test_a_series_without_coordinates_is_read_once():
     series = Series(2, 3, {mono("x1*x2"): 1, mono("x0*xinf"): 2})
     other = Series(2, 3, {mono("x1^2"): 1})
-    counted = series.terms = _CountedTerms(series.terms)
+    counted = _CountedTerms(series.terms)
+    object.__setattr__(series, "terms", counted)
     for _ in range(3):
         assert core._coordinates(series) is None
         assert not relabel_check(series)

@@ -499,7 +499,7 @@ class TestWalkEmulationPins:
         def refuse(*args):
             raise AssertionError("degree data rebuilt")
 
-        monkeypatch.setattr(SubsetSpec, "__post_init__", refuse)
+        monkeypatch.setattr(SubsetSpec, "__init__", refuse)
         for module in (families, basis):
             for name in ("_forced", "_lone", "_split", "_pattern_coords", "all_subsets"):
                 if hasattr(module, name):

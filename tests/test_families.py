@@ -138,6 +138,12 @@ class TestSharedResults:
         fresh = k_series(spec(1), 1)
         assert {str(m): c for m, c in fresh.terms.items()} == {"x0": 1, "x1": 2, "xinf": 1}
 
+    def test_cached_member_refuses_assignment(self):
+        out = k_series(spec(1), 1)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'degree'$"):
+            out.degree = 7
+        assert k_series(spec(1), 1) is out and out.degree == 1
+
 
 def _assert_matches_reference(s, trunc):
     assert k_series(s, trunc) == reference_member("K", s, trunc, 2)
@@ -265,6 +271,11 @@ class TestGenericMonomials:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             m_generic_monomial(spec(3), 2)
+
+    @pytest.mark.parametrize("trunc", [2.5, True])
+    def test_truncation_is_checked_before_it_is_compared(self, trunc):
+        with pytest.raises(ValueError, match=f"^truncation must be a positive integer, got {trunc!r}$"):
+            m_generic_monomial(spec(1), trunc)
 
     def test_membership_examples(self):
         assert m_membership(mono("x0^3*x1^3*x2*x3^5*xinf^2"), spec(14, 1, 2, 5, 9, 11, 14))

@@ -7,9 +7,12 @@ module may define again a helper that ``conftest.py`` or
 ``reference.py`` shares, or import from another test module;
 ``reference.py`` holds no test, since pytest would not collect it; the
 mask codec of M-coordinates is defined once, in ``core.py``; the
-lone-bit rule is written once, in ``families._lone``; no library module
-imports ``dataclasses``; and the package's table of names that
-load on first use agrees with their modules and with ``__all__``.
+lone-bit rule is written once, in ``families._lone``; the integer rule's
+message is written once, in ``core._check_int``, and the refusal to
+assign or delete a field once, in ``core._Frozen``; no library class
+keeps a ``__post_init__`` hook; no library module imports
+``dataclasses``; and the package's table of names that load on first use
+agrees with their modules and with ``__all__``.
 """
 
 import ast
@@ -118,20 +121,61 @@ def shifted_by_one(node, op):
     )
 
 
+def owners(tree):
+    # the innermost function around each node; ast.walk goes outside in,
+    # so a nested function overwrites its parent
+    return {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+
+
 def test_the_lone_bit_rule_lives_in_families():
     # The neighbour expression ``m << 1 | m >> 1``, in either order, is the
     # lone-bit rule; every other reading of lone bits calls families._lone.
     homes = []
     for path in MODULES:
         tree = parsed(path)
-        # ast.walk goes outside in, so a nested function overwrites its parent
-        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        owner = owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
                 sides = (node.left, node.right)
                 if any(shifted_by_one(a, ast.LShift) and shifted_by_one(b, ast.RShift) for a, b in (sides, sides[::-1])):
                     homes.append((path.name, owner.get(id(node))))
     assert homes == [("families.py", "_lone")]
+
+
+def test_the_integer_message_lives_in_check_int():
+    # "... must be a positive integer, got 0" and its kin are one message,
+    # with the not-a-bool test and the bound, in core._check_int
+    homes = {
+        (path.name, owners(tree).get(id(node)))
+        for path in MODULES
+        for tree in [parsed(path)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "integer, got" in node.value
+    }
+    assert homes == {("core.py", "_check_int")}
+
+
+def test_fields_are_frozen_in_core_only():
+    homes = sorted(
+        (path.name, cls.name, fn.name)
+        for path in MODULES
+        for cls in ast.walk(parsed(path))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("__setattr__", "__delattr__")
+    )
+    assert homes == [("core.py", "_Frozen", "__delattr__"), ("core.py", "_Frozen", "__setattr__")]
+
+
+def test_no_post_init_hook():
+    # each record validates once, in __init__
+    hooks = [
+        path.name
+        for path in MODULES
+        for node in ast.walk(parsed(path))
+        if "__post_init__" in (getattr(node, "name", None), getattr(node, "attr", None))
+    ]
+    assert hooks == []
 
 
 def test_no_library_module_imports_dataclasses():

@@ -86,6 +86,16 @@ class TestResolve:
         with pytest.raises(ValueError):
             resolve(mono("x1^2"), ProblematicRelation(RelationKind.BORDER_ZERO, 0), 3)
 
+    @pytest.mark.parametrize("trunc", ["x", 2.5])
+    def test_truncation_is_checked_before_it_is_compared(self, trunc):
+        m = mono("x1^2")
+        (relation,) = problematic_relations(m)
+        with pytest.raises(ValueError, match=f"^truncation must be a positive integer, got {trunc!r}$"):
+            resolve(m, relation, trunc)
+        # a special monomial needs no resolution, but its V is checked all the same
+        with pytest.raises(ValueError, match=f"^truncation must be a positive integer, got {trunc!r}$"):
+            resolve_all(mono("x0^2"), trunc)
+
     def test_truncation_guard(self):
         m = mono("x1^2")
         (relation,) = problematic_relations(m)
