@@ -40,18 +40,26 @@ member coordinates and expands once.
 reconstruction problem as an exact linear system over the rationals by
 fraction-free Gauss-Jordan elimination (each step scales a row by the
 pivot, subtracts, and divides out the row's gcd; the answer is one
-division per pivot).  It has one equation per M-coordinate when the
+division per pivot).  It reads one equation per M-coordinate when the
 target and every column have coordinates, otherwise one per monomial of
 their supports; every placement repeats its coordinate's equation, so
-both give the same solution.  It shares no elimination code with the
-decomposition above, so agreement between the two is meaningful.
+both give the same solution.  It then keeps one equation per distinct
+row up to its content (the gcd of its entries, target included) and one
+unknown per distinct column, and eliminates only those.  A family
+system collapses this way: with T(E) = E & E >> 1, a member's
+coefficient at E is 2^mid(E) times a function of T(E) alone, so at
+degree 7 its 255 equations are 64, and the 128 L members are 65 distinct
+columns.  Dropping a scaled or repeated equation keeps the solution set,
+and a later copy of a column never pivots, so the answer is the one of
+the full system.  It shares no elimination code with the decomposition
+above, so agreement between the two is meaningful.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
@@ -95,8 +103,10 @@ class Decomposition:
     coefficient; reconstructing the combination at any V >= degree
     reproduces the decomposed series exactly.  Equal when degree, basis
     and coefficients are; unhashable, since ``coeffs`` is a dict.  The
-    constructor validates every key and coefficient once.  Not frozen:
-    no cache shares a decomposition, so each one is its caller's own.
+    constructor validates every key and coefficient once and keeps a copy
+    of ``coeffs``, so a later change to the caller's dict is not seen.
+    Not frozen: no cache shares a decomposition, so each one is its
+    caller's own.
     """
 
     __slots__ = ("degree", "basis", "coeffs")
@@ -112,7 +122,7 @@ class Decomposition:
             _check_int(c, "coefficient", "nonzero", spec)
         self.degree = degree
         self.basis = basis
-        self.coeffs = coeffs
+        self.coeffs = dict(coeffs)
 
     @classmethod
     def _trusted(cls, degree: int, basis: str, coeffs: dict[SubsetSpec, int]) -> "Decomposition":
@@ -307,6 +317,12 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
     Returns one solution with free variables at zero, or None when the
     system is inconsistent (so no rational, hence no integer, combination
     exists).  All series must share the target's degree and truncation.
+
+    Each distinct column is one unknown; a later copy of a column could
+    never pivot, so it keeps 0.  Each equation is divided by its content
+    (the gcd of its entries, target included) and kept once.  Neither
+    step changes the solution set or the pivot columns, so the answer is
+    the one the full system gives.
     """
     for col in columns:
         if col.degree != target.degree or col.trunc != target.trunc:
@@ -315,11 +331,29 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
     tables = [_coordinates(s) for s in series]
     if any(t is None for t in tables):
         tables = [s.terms for s in series]
-    rows = [[t.get(key, 0) for t in tables] for key in set(chain(*tables))]
     ncols = len(columns)
+    by_key: dict = {}
+    for j, table in enumerate(tables):
+        for key, c in table.items():
+            row = by_key.get(key)
+            if row is None:
+                row = by_key[key] = [0] * (ncols + 1)
+            row[j] = c
+    # columns equal on every row stay equal once rows are scaled; with no rows every column is empty
+    *by_column, rhs = zip(*by_key.values()) if by_key else [()] * (ncols + 1)
+    firsts: dict = {}
+    for j, entries in enumerate(by_column):
+        firsts.setdefault(entries, j)
+    kept = list(firsts.values())
+    distinct: dict = {}
+    for row in zip(*map(by_column.__getitem__, kept), rhs):
+        g = math.gcd(*row)
+        distinct[tuple([a // g for a in row]) if g > 1 else row] = None
+    rows = list(map(list, distinct))
+    width = len(kept)
     pivots: list[int] = []
     r = 0
-    for col in range(ncols):
+    for col in range(width):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot_row is None:
             continue
@@ -337,12 +371,12 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
         if r == len(rows):
             break
     for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
+        if rows[i][width] != 0:
             return None
     # imported here, so that no request that skips this cross-check loads fractions and decimal
     from fractions import Fraction
 
     solution = [Fraction(0)] * ncols
     for row, col in zip(rows, pivots):
-        solution[col] = Fraction(row[ncols], row[col])
+        solution[kept[col]] = Fraction(row[width], row[col])
     return solution

@@ -25,7 +25,7 @@ from borderqsym import (
     reconstruct,
 )
 from borderqsym import basis, core
-from conftest import mono, spec
+from conftest import group, mono, spec
 from reference import kind_products, reference_coordinate_walk, reference_forced_equalities, spreading_cases
 
 
@@ -316,6 +316,15 @@ class TestDecompositionObject:
         with pytest.raises(ValueError, match="must be a nonzero integer, got True"):
             Decomposition.from_json_obj({"degree": 1, "basis": "K", "terms": [{"set": [1], "coeff": True}]})
 
+    def test_the_callers_dict_is_copied(self):
+        coeffs = {spec(1): 1}
+        dec = Decomposition(1, "K", coeffs)
+        coeffs[spec(1)] = 0
+        assert dec.coeffs == {spec(1): 1}
+        assert reconstruct(dec, 1) == k_series(spec(1), 1)
+        # the library's own results are valid by construction and not copied
+        assert Decomposition._trusted(1, "K", coeffs).coeffs is coeffs
+
     def test_library_results_are_not_revalidated(self, monkeypatch):
         product = k_series(spec(3, 1), 7) * k_series(spec(4, 2, 3), 7)
         expected = (decompose_l(product), decompose_k(product))
@@ -366,6 +375,37 @@ class TestRationalSolve:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rational_solve([Series.zero(1, 1)], Series.zero(2, 1))
+
+    def test_a_repeated_column_keeps_zero(self):
+        a, b = l_series(spec(2), 2), l_series(spec(2, 1), 2)
+        target = a.scale(3) + b.scale(2)
+        assert rational_solve([a, a, b], target) == [Fraction(3), Fraction(0), Fraction(2)]
+
+    @pytest.mark.parametrize("kind", ["K", "L"])
+    def test_degree_7_products_against_every_member(self, kind):
+        # a seeded handful of the 1,024 products of degree 7 at V = 7, each
+        # solved against all 128 columns: the solution multiplies out to the
+        # product on coordinates, the Möbius read agrees, and one unit more at
+        # mask 1 (a lone x0), which shares its paired flags with mask 0,
+        # breaks the proportion between the two rows and leaves the span
+        family = l_series if kind == "L" else k_series
+        columns = [family(s, 7) for s in all_subsets(7)]
+        tables = [core._coordinates(c) for c in columns]
+        pairs = [(a, b) for n in range(8) for a in all_subsets(n) for b in all_subsets(7 - n)]
+        for a, b in random.Random(7).sample(pairs, 4):
+            product = family(a, 7) * family(b, 7)
+            solution = rational_solve(columns, product)
+            assert solution is not None, (a, b)
+            total = {}
+            for x, table in zip(solution, tables):
+                for key, c in table.items():
+                    total[key] = total.get(key, 0) + x * c
+            assert {k: c for k, c in total.items() if c} == dict(core._coordinates(product)), (a, b)
+            assert reconstruct(decompose_l(product), 7) == product
+            perturbed = product + group(7, 7, (1, (1,) * 6, 0), 1)
+            assert rational_solve(columns, perturbed) is None, (a, b)
+            with pytest.raises((NotDivisibleError, NonzeroResidualError)):
+                decompose_l(perturbed)
 
     def test_base_two_rigidity(self):
         # with base 3 the degree-1 square leaves the degree-2 span; with the

@@ -196,6 +196,32 @@ class TestBelowTheDegree:
         assert families._pattern_coords.cache_info().hits == before.hits + 1
 
 
+class TestPairedFlags:
+    # With T(E) = E & E >> 1, whose bit i - 1 says g_{i-1} = g_i = g_{i+1},
+    # and S the subset bitmask, L_S carries 2^mid(E) [S within T(E)] at each
+    # mask E and K_S carries 2^mid(E) [S disjoint from T(E)].  So a family
+    # system's row at E is 2^mid(E) times a row that depends on T(E) alone,
+    # and L members of one forced mask are one column.
+    def test_coefficients_read_only_the_paired_flags(self):
+        build = families._pattern_coords.__wrapped__  # bypasses the cache, which these 510 tables would flush
+        for n in range(8):
+            paired = {mask: mask & mask >> 1 for mask in range((2 << n) - 1)}
+            for s in all_subsets(n):
+                bits = sum(1 << (i - 1) for i in s.members)
+                assert dict(build("L", s, 2)) == {
+                    mask: 2 ** (n - mask.bit_count()) for mask, t in paired.items() if bits & ~t == 0
+                }, s
+                assert dict(build("K", s, 2)) == {
+                    mask: 2 ** (n - mask.bit_count()) for mask, t in paired.items() if bits & t == 0
+                }, s
+
+    @pytest.mark.parametrize("n, rows, l_columns", [(5, 20, 21), (7, 64, 65)])
+    def test_distinct_rows_and_columns(self, n, rows, l_columns):
+        full = (2 << n) - 1
+        assert len({mask & mask >> 1 for mask in range(full)}) == rows
+        assert len({families._forced(families._bits(s.members)) for s in all_subsets(n)}) == l_columns
+
+
 class TestLSeries:
     def test_degree_three_single_member_expansion(self):
         out = l_series(spec(3, 1), 2)

@@ -97,6 +97,25 @@ class TestRationalSolveAgainstTheFractionSolver:
                         outcomes.add(check_solve_agrees(columns, target) is None)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    def test_edge_systems(self, kind):
+        # a zero target, no columns, and a zero column: the L member of the
+        # full set, whose forced mask is all ones; with no rows, no column
+        # can pivot
+        for d in range(1, 5):
+            columns = [member(kind, s, d) for s in all_subsets(d)]
+            product = member_product(kind, spec(1), kind, next(all_subsets(d - 1)), d)
+            assert check_solve_agrees(columns, Series.zero(d, d)) == [0] * len(columns)
+            assert check_solve_agrees([], Series.zero(d, d)) == []
+            assert check_solve_agrees([], product) is None
+            zero = l_series(spec(d, *range(1, d + 1)), d)
+            assert zero.is_zero()
+            solution = check_solve_agrees([zero, *columns, zero], product)
+            assert (solution is None) == (BASES[kind] != 2 and d > 1)
+            assert solution is None or solution[0] == solution[-1] == 0
+            assert check_solve_agrees([zero], product) is None
+            assert check_solve_agrees([zero, zero], Series.zero(d, d)) == [0, 0]
+
     @pytest.mark.parametrize("q", [-3, -2, 2, 3, 5])
     def test_q_squares(self, q):
         one = k_series_q(spec(1), 2, q)
@@ -114,6 +133,10 @@ def systems(draw):
         return st.sets(st.integers(1, max(k, 1)), max_size=k).map(lambda m: SubsetSpec(k, frozenset(m)))
 
     columns = [member(kind, s, trunc) for s in draw(st.lists(subsets(d), min_size=1, max_size=8))]
+    # repeated columns, which the solver keeps as one unknown, and scaled ones
+    columns += draw(st.lists(st.sampled_from(columns), max_size=3))
+    columns += [c.scale(2) for c in draw(st.lists(st.sampled_from(columns), max_size=1))]
+    columns = draw(st.permutations(columns))
     n = draw(st.integers(0, d))
     a, b = draw(subsets(n)), draw(subsets(d - n))
     target = member_product(kind, a, kind, b, trunc)
