@@ -33,8 +33,15 @@ that is not quasisymmetric always leaves one).  These are the errors of
 the walk that subtracts L members subset by subset in that order, with
 every field but the NotDivisible coefficient, which is the target's own.
 :func:`decompose_k` turns the L coefficients into K coefficients by one
-signed superset sum over subset bitmasks, and :func:`reconstruct` sums
-member coordinates and expands once.
+signed superset sum over subset bitmasks.  :func:`reconstruct` runs the
+same transform forward.  With T(E) = E & E >> 1, whose bit i - 1 says
+that position i sits inside an equal triple, the L member of S carries
+2^mid(E) at E when bits(S) lies inside T(E), and the K member when
+bits(S) lies inside T(E)'s complement in d bits.  So a combination has
+2^mid(E) times the subset sum of its coefficients, listed by subset
+bitmask, at T(E) (L) or at its complement (K): d passes and one read per
+mask, without building a member.  Below degree 8, a combination of a few
+members (``_MEMBER_SUM``) sums their cached tables instead.
 
 :func:`rational_solve` is an independent cross-check: it solves the same
 reconstruction problem as an exact linear system over the rationals by
@@ -43,7 +50,9 @@ pivot, subtracts, and divides out the row's gcd; the answer is one
 division per pivot).  It reads one equation per M-coordinate when the
 target and every column have coordinates, otherwise one per monomial of
 their supports; every placement repeats its coordinate's equation, so
-both give the same solution.  It then keeps one equation per distinct
+both give the same solution.  A target without coordinates against
+columns that all have them is answered None at once: a combination of
+quasisymmetric columns is quasisymmetric.  It then keeps one equation per distinct
 row up to its content (the gcd of its entries, target included) and one
 unknown per distinct column, and eliminates only those.  A family
 system collapses this way: with T(E) = E & E >> 1, a member's
@@ -59,8 +68,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
-from operator import add, sub
+from itertools import combinations, compress, repeat
+from operator import add, and_, lshift, rshift, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Monomial, Series, TruncationError, _check_int, _check_trunc, _coordinates, _expand, _mask
@@ -199,7 +208,7 @@ class _MaskTable(NamedTuple):
     equality mask (bit j is the flag g_j = g_{j+1}).
     """
 
-    reads: tuple       # (first SubsetSpec, forced mask) per forced mask below all-ones, specs in size-lex order
+    reads: tuple       # (first subset's bitmask, forced mask) per forced mask below all-ones, in size-lex order
     specs: tuple       # subset bitmask -> SubsetSpec
     cores: tuple       # mask -> its forced core, the largest forced mask inside it
 
@@ -212,10 +221,10 @@ def _mask_table(d: int) -> _MaskTable:
     for spec in all_subsets(d):
         bits = _bits(spec.members)
         specs[bits] = spec
-        firsts.setdefault(_forced(bits), spec)
+        firsts.setdefault(_forced(bits), bits)
     firsts.pop(full, None)  # the forced chain joins 0 to inf: the L member is zero
     cores = tuple(mask & ~_lone(mask, d) for mask in range(full + 1))
-    return _MaskTable(tuple((spec, forced) for forced, spec in firsts.items()), tuple(specs), cores)
+    return _MaskTable(tuple((bits, forced) for forced, bits in firsts.items()), tuple(specs), cores)
 
 
 def _subset_passes(values: list[int], op) -> list[int]:
@@ -228,6 +237,48 @@ def _subset_passes(values: list[int], op) -> list[int]:
         evens = values[::2]
         values = [*evens, *map(op, values[1::2], evens)]
     return values
+
+
+def _minimal_l(target: Series) -> tuple[_MaskTable, list[tuple[int, int]]]:
+    """The mask table of the target's degree and the target's minimal L form.
+
+    The form is a list of (subset bitmask, coefficient) pairs, one for
+    each forced mask with a nonzero coefficient, on its first subset; see
+    :func:`decompose_l` for the read and its errors.
+    """
+    d = target.degree
+    if target.trunc < d:
+        raise TruncationError(f"need trunc >= degree {d}, got {target.trunc}")
+    table = _mask_table(d)
+    coords = _coordinates(target)
+    read = coords
+    if coords is None:
+        # one monomial per coordinate: its smallest placement, on the naturals 1..k
+        read = {_mask(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
+    h = [0] * (2 << d)  # the all-ones mask, which is no coordinate, keeps 0
+    rem: dict[int, int] = {}
+    for mask, c in read.items():
+        h[mask], r = divmod(c, 1 << d - mask.bit_count())
+        if r:
+            rem[mask] = r
+    if rem:
+        for bits, forced in table.reads:
+            if forced in rem:
+                raise NotDivisibleError(table.specs[bits], _representative(forced, d), read[forced],
+                                        1 << d - forced.bit_count())
+    on_cores = list(map(h.__getitem__, table.cores))
+    g = _subset_passes(on_cores, sub)
+    terms = [(bits, c) for bits, forced in table.reads if (c := g[forced])]
+    if rem or h != on_cores or coords is None:
+        found = Decomposition._trusted(d, "L", {table.specs[bits]: c for bits, c in terms})
+        rest = target - reconstruct(found, target.trunc)
+        rest_coords = _coordinates(rest)
+        # a coordinate's smallest monomial places its word on 1, 2, ...
+        terms_left = rest.terms if rest_coords is None else {_representative(k, d): c for k, c in rest_coords.items()}
+        if terms_left:
+            witness, c = min(terms_left.items(), key=lambda mc: mc[0].sort_key())
+            raise NonzeroResidualError(witness, c)
+    return table, terms
 
 
 def decompose_l(target: Series) -> Decomposition:
@@ -246,37 +297,9 @@ def decompose_l(target: Series) -> Decomposition:
     forced core, at the forced masks, and the target is in the span
     exactly when no r is left and that read is h itself.
     """
-    d = target.degree
-    if target.trunc < d:
-        raise TruncationError(f"need trunc >= degree {d}, got {target.trunc}")
-    table = _mask_table(d)
-    coords = _coordinates(target)
-    read = coords
-    if coords is None:
-        # one monomial per coordinate: its smallest placement, on the naturals 1..k
-        read = {_mask(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
-    h = [0] * (2 << d)  # the all-ones mask, which is no coordinate, keeps 0
-    rem: dict[int, int] = {}
-    for mask, c in read.items():
-        h[mask], r = divmod(c, 1 << d - mask.bit_count())
-        if r:
-            rem[mask] = r
-    if rem:
-        for spec, forced in table.reads:
-            if forced in rem:
-                raise NotDivisibleError(spec, _representative(forced, d), read[forced], 1 << d - forced.bit_count())
-    on_cores = list(map(h.__getitem__, table.cores))
-    g = _subset_passes(on_cores, sub)
-    found = Decomposition._trusted(d, "L", {spec: g[forced] for spec, forced in table.reads if g[forced]})
-    if rem or h != on_cores or coords is None:
-        rest = target - reconstruct(found, target.trunc)
-        rest_coords = _coordinates(rest)
-        # a coordinate's smallest monomial places its word on 1, 2, ...
-        terms = rest.terms if rest_coords is None else {_representative(k, d): c for k, c in rest_coords.items()}
-        if terms:
-            witness, c = min(terms.items(), key=lambda mc: mc[0].sort_key())
-            raise NonzeroResidualError(witness, c)
-    return found
+    table, terms = _minimal_l(target)
+    specs = table.specs
+    return Decomposition._trusted(target.degree, "L", {specs[bits]: c for bits, c in terms})
 
 
 def decompose_k(target: Series) -> Decomposition:
@@ -287,28 +310,53 @@ def decompose_k(target: Series) -> Decomposition:
     coefficients over the supersets of T: one subset sum over the
     complemented subset bitmasks, which is the reversed list, d passes.
     """
-    d = target.degree
-    by_l = decompose_l(target).coeffs
-    specs = _mask_table(d).specs
+    table, terms = _minimal_l(target)
+    specs = table.specs
     sums = [0] * len(specs)
-    for spec, c in by_l.items():
-        sums[_bits(spec.members)] = c
+    for bits, c in terms:
+        sums[bits] = c
     sums = _subset_passes(sums[::-1], add)[::-1]
-    return Decomposition._trusted(d, "K", {
+    return Decomposition._trusted(target.degree, "K", {
         specs[bits]: -c if bits.bit_count() & 1 else c for bits, c in enumerate(sums) if c
     })
 
 
+# The combinations that reconstruct sums member by member: at most this
+# many members of each (basis, degree).  The member sum of the cached
+# tables measured faster than the subset sum for up to 6 K members, and
+# for every minimal L form (at most 64 members), below degree 8.  No degree
+# from 8 on is listed, where one sum could fill the member cache.
+_MEMBER_SUM = {**{("K", d): 6 for d in range(8)}, **{("L", d): 64 for d in range(8)}}
+
+
 def reconstruct(dec: Decomposition, trunc: int) -> Series:
-    """Evaluate the combination at truncation V >= degree."""
+    """Evaluate the combination at truncation V >= degree.
+
+    The coordinate at each mask E is 2^mid(E) times the subset sum of the
+    coefficients, by subset bitmask, read at T(E) = E & E >> 1 for L and
+    at its complement for K (see the module docstring).  A combination
+    that ``_MEMBER_SUM`` lists sums its members' tables instead.
+    """
     _check_trunc(trunc)
-    if trunc < dec.degree:
-        raise TruncationError(f"need trunc >= degree {dec.degree}, got {trunc}")
-    coords: dict[int, int] = {}
+    d = dec.degree
+    if trunc < d:
+        raise TruncationError(f"need trunc >= degree {d}, got {trunc}")
+    if len(dec.coeffs) <= _MEMBER_SUM.get((dec.basis, d), 0):
+        coords: dict[int, int] = {}
+        for spec, c in dec.coeffs.items():
+            for key, v in _pattern_coords(dec.basis, spec, 2).items():
+                coords[key] = coords.get(key, 0) + c * v
+        return _expand(d, trunc, coords)
+    sums = [0] * (1 << d)
     for spec, c in dec.coeffs.items():
-        for key, v in _pattern_coords(dec.basis, spec, 2).items():
-            coords[key] = coords.get(key, 0) + c * v
-    return _expand(dec.degree, trunc, coords)
+        sums[_bits(spec.members)] = c
+    sums = _subset_passes(sums, add)
+    if dec.basis == "K":
+        sums.reverse()  # index (2^d - 1) ^ T reads the sum at T's complement
+    masks = range((2 << d) - 1)  # all but the all-ones mask
+    on_t = map(sums.__getitem__, map(and_, masks, map(rshift, masks, repeat(1))))
+    values = list(map(lshift, on_t, map(sub, repeat(d), map(int.bit_count, masks))))
+    return _expand(d, trunc, dict(compress(zip(masks, values), values)))
 
 
 def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[Fraction]]:
@@ -322,7 +370,8 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
     never pivot, so it keeps 0.  Each equation is divided by its content
     (the gcd of its entries, target included) and kept once.  Neither
     step changes the solution set or the pivot columns, so the answer is
-    the one the full system gives.
+    the one the full system gives.  A target without coordinates against
+    columns that all have them is no combination of them: None at once.
     """
     for col in columns:
         if col.degree != target.degree or col.trunc != target.trunc:
@@ -330,6 +379,8 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
     series = (*columns, target)
     tables = [_coordinates(s) for s in series]
     if any(t is None for t in tables):
+        if tables[-1] is None and None not in tables[:-1]:
+            return None  # a combination of quasisymmetric columns is quasisymmetric
         tables = [s.terms for s in series]
     ncols = len(columns)
     by_key: dict = {}

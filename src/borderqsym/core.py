@@ -22,11 +22,13 @@ over the table, of the coefficient times every monomial that places the
 word on increasing naturals 1..V; a word longer than V has no placement.
 Products of such series add border exponents and quasi-shuffle the
 words (Hoffman, "Quasi-shuffle products", 2000), so
-:meth:`Series.mul` works on coordinates, and so do addition, scaling,
-comparison and restriction when every operand has them.  A series born
-from coordinates (a family member, a product, a reconstruction, a sum)
-keeps only them: its ``terms`` is a read-only mapping view that places
-the words at V when it is iterated or looked up, and stores no monomial.
+:meth:`Series.mul` works on coordinates, with one cached plan per pair
+of keys (border bits, word shift, quasi-shuffle), and so do addition,
+scaling, comparison and restriction when every operand has them.  A
+series born from coordinates (a family member, a product, a
+reconstruction, a sum) keeps only them: its ``terms`` is a read-only
+mapping view that places the words at V when it is iterated or looked
+up, and stores no monomial.
 Any other series keeps a validated dict of its monomials; its
 coordinates, or the finding that it has none, are read once and kept
 beside it.  The monomial convolution runs only when a factor is not
@@ -36,7 +38,8 @@ A :class:`Series` refuses assignment to its attributes and its ``terms``
 is read-only, so a series can be shared freely, across threads and by
 the member caches (it keeps its M-coordinates once read; they never
 change, so a race only repeats the read).  A :class:`Monomial` is not
-frozen: no cache shares one, and each caller owns the monomials it gets.
+frozen: no cache shares one, each caller owns the monomials it gets, and
+a series keeps its own copy of every key it is given.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ import math
 import re
 from collections.abc import ItemsView, Mapping
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional, Union
 
@@ -281,10 +286,10 @@ class Series(_Frozen):
     coefficient is zero.  A zero series keeps its degree tag.  The
     attributes refuse assignment and ``terms`` is a read-only view, so a
     shared (cached) series cannot be altered; ``copy.copy`` returns the
-    series itself.  The constructor keeps a validated dict behind
-    ``terms``; a series born from M-coordinates (see :func:`_expand`)
-    keeps only its coordinates, and its ``terms`` places them at V on
-    demand.
+    series itself.  The constructor keeps a validated dict of its own
+    copies of the keys behind ``terms``; a series born from M-coordinates
+    (see :func:`_expand`) keeps only its coordinates, and its ``terms``
+    places them at V on demand.
     """
 
     __slots__ = ("degree", "trunc", "terms", "_coords")
@@ -302,7 +307,8 @@ class Series(_Frozen):
             if m.max_natural() > trunc:
                 raise ValueError(f"monomial {m} uses a natural index beyond truncation {trunc}")
             if c:
-                clean[m] = c
+                # its own copy of the key: a Monomial is not frozen, and the caller keeps theirs
+                clean[Monomial._trusted(m.pairs, degree)] = c
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "terms", MappingProxyType(clean))
@@ -361,18 +367,20 @@ class Series(_Frozen):
         a, b = _coordinates(self), _coordinates(other)
         if a is None or b is None:
             return _convolve(self, other)
-        n = self.degree + other.degree
-        right = [(*_split(key, other.degree), c) for key, c in b.items()]
+        da, db = self.degree, other.degree
+        keys, coeffs = tuple(b), tuple(b.values())
         out: dict[int, int] = {}
+        # One plan per pair of keys, cached unless the pairs outnumber the
+        # cache, where every plan would be evicted before its next use.
+        plan = _plan if len(a) * len(b) <= _PLAN_CACHE else _plan.__wrapped__
         for key, ca in a.items():
-            a0, u, su, ainf = _split(key, self.degree)
-            for b0, v, sv, binf, cb in right:
-                e0, einf, c = a0 + b0, ainf + binf, ca * cb
-                border = (1 << e0) - 1 | (1 << einf) - 1 << n + 1 - einf
-                for w, mult in _quasi_shuffle(u, su, v, sv):
-                    w = border | w << e0 + 1
+            plans = map(plan, repeat(key), repeat(da), keys, repeat(db))
+            for (border, shift, words), cb in zip(plans, coeffs):
+                c = ca * cb
+                for w, mult in words:
+                    w = border | w << shift
                     out[w] = out.get(w, 0) + c * mult
-        return _expand(n, self.trunc, out)
+        return _expand(da + db, self.trunc, out)
 
     def restrict(self, trunc: int) -> "Series":
         """Drop every monomial using a natural index beyond the new truncation.
@@ -446,8 +454,15 @@ def _convolve(a: Series, b: Series) -> Series:
 
 # Entries of the quasi-shuffle cache.  Every pair of words of total weight
 # up to 10 fits (6,144 pairs, 8.4 MB); products of degree 7, the heaviest
-# in the benchmark, use at most 576.
+# in the benchmark, use at most 576.  A cached plan holds its tuple too,
+# so up to _PLAN_CACHE more tuples can outlive their entry here.
 _QUASI_SHUFFLE_CACHE = 1 << 13
+# Entries of the plan cache, one per pair of keys with their degrees, about
+# 200 to 240 bytes each beside the tuple it shares.  The products of degree 7
+# have 3,084 pairs of keys over all left degrees, which is the decompose
+# workload's working set (closure's is about 2,100); a product of more
+# pairs than this computes its plans without the cache.
+_PLAN_CACHE = 1 << 12
 
 
 def _mask(m: Monomial) -> int:
@@ -537,6 +552,21 @@ def _quasi_shuffle(u: int, su: int, v: int, sv: int) -> tuple[tuple[int, int], .
     return tuple(out.items())
 
 
+@lru_cache(maxsize=_PLAN_CACHE)
+def _plan(left: int, dl: int, right: int, dr: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """How a key of degree dl times a key of degree dr places its words: (border, shift, words).
+
+    The border bits are the product's x0 and xinf blocks; a word w of the
+    quasi-shuffle of the two keys' words lands at ``border | w << shift``.
+    ``words`` is the quasi-shuffle cache's own tuple, not a copy.
+    """
+    a0, u, su, ainf = _split(left, dl)
+    b0, v, sv, binf = _split(right, dr)
+    e0, einf = a0 + b0, ainf + binf
+    border = (1 << e0) - 1 | (1 << einf) - 1 << dl + dr + 1 - einf
+    return border, e0 + 1, _quasi_shuffle(u, su, v, sv)
+
+
 def _expand(degree: int, trunc: int, coords: Mapping[int, int]) -> Series:
     """The series at truncation V with these M-coordinates.
 
@@ -545,7 +575,10 @@ def _expand(degree: int, trunc: int, coords: Mapping[int, int]) -> Series:
     1..V.  The series keeps the other keys in order and no monomial: its
     ``terms`` is a :class:`_Placements` view over them.
     """
-    kept = MappingProxyType({key: c for key, c in coords.items() if c and degree - key.bit_count() <= trunc})
+    if trunc >= degree:  # every word fits
+        kept = MappingProxyType(dict(compress(coords.items(), coords.values())))
+    else:
+        kept = MappingProxyType({key: c for key, c in coords.items() if c and degree - key.bit_count() <= trunc})
     return Series._trusted(degree, trunc, _Placements(degree, trunc, kept), kept)
 
 
@@ -567,7 +600,7 @@ class _Placements(Mapping):
         self._degree = degree
         self._trunc = trunc
         self._coords = coords
-        self._len = sum(math.comb(trunc, degree - key.bit_count()) for key in coords)
+        self._len = sum(map(math.comb, repeat(trunc), map(sub, repeat(degree), map(int.bit_count, coords))))
 
     def __len__(self) -> int:
         return self._len

@@ -4,10 +4,12 @@ Each reference is an independent slow path, a definition read literally
 or an engine the library replaced: the tuple-filter member, equality
 patterns as tuples of bools with their tuple coordinates (e0, word,
 e_inf), the monomial convolution, the quasi-shuffle of tuple words, the
-L walks on monomials and on M-coordinates, the minimal L form by
-submask sums over tuple-keyed patterns, the group-and-count
-quasisymmetry test, the eager expansion of coordinates, and the
-monomial forms of both oracles and of the case rule.  ``member_product``
+product's loop over pairs of keys without plans, the L walks on
+monomials and on M-coordinates, the minimal L form by submask sums over
+tuple-keyed patterns, the reconstruction that sums member tables, the
+group-and-count quasisymmetry test, the eager expansion of coordinates,
+and the monomial forms of both oracles and of the case rule.
+``member_product``
 multiplies each pair of members once per session; ``kind_products``,
 ``small_monomials``, ``mask_cases`` and ``spreading_cases`` are corpora
 that more than one test sweeps; ``product_keys`` draws a random pair,
@@ -360,6 +362,35 @@ def in_k_basis(l_coeffs):
                 key = SubsetSpec(s.n, frozenset(t))
                 out[key] = out.get(key, 0) + (-1) ** size * c
     return {t: c for t, c in out.items() if c}
+
+
+def reference_member_sum(dec):
+    """The combination's M-coordinates summed member table by member table, zeros dropped."""
+    coords = {}
+    for s, c in dec.coeffs.items():
+        for key, v in families._pattern_coords(dec.basis, s, 2).items():
+            coords[key] = coords.get(key, 0) + c * v
+    return {key: c for key, c in coords.items() if c}
+
+
+def reference_pair_loop(a, b):
+    """The product's M-coordinates by a loop over pairs of keys that splits both and adds their border bits.
+
+    Zeros and words longer than V dropped, in the order of the pairs and
+    of each quasi-shuffle.
+    """
+    n = a.degree + b.degree
+    right = [(*core._split(key, b.degree), c) for key, c in core._coordinates(b).items()]
+    out = {}
+    for key, ca in core._coordinates(a).items():
+        a0, u, su, ainf = core._split(key, a.degree)
+        for b0, v, sv, binf, cb in right:
+            e0, einf = a0 + b0, ainf + binf
+            border = (1 << e0) - 1 | (1 << einf) - 1 << n + 1 - einf
+            for w, mult in core._quasi_shuffle(u, su, v, sv):
+                w = border | w << e0 + 1
+                out[w] = out.get(w, 0) + ca * cb * mult
+    return {w: c for w, c in out.items() if c and n - w.bit_count() <= a.trunc}
 
 
 def reference_relabel(series):

@@ -219,7 +219,8 @@ def test_mask_table_reads_and_cores_to_degree_8():
         for s in all_subsets(d):
             first.setdefault(sum(1 << j for j in {i - 1 for i in s.members} | s.members), s)
         first.pop(full, None)
-        assert list(table.reads) == [(s, forced) for forced, s in first.items()]
+        assert [(table.specs[bits], forced) for bits, forced in table.reads] == [(s, f) for f, s in first.items()]
+        assert all(bits == sum(1 << i - 1 for i in table.specs[bits].members) for bits, _ in table.reads)
         for mask in range(full):
             inside = [forced for forced in first if forced & mask == forced]
             assert table.cores[mask] in inside
@@ -375,6 +376,14 @@ class TestRationalSolve:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rational_solve([Series.zero(1, 1)], Series.zero(2, 1))
+
+    def test_a_column_without_coordinates(self):
+        # at V = 2, x1 alone is not quasisymmetric; the system is read on monomials
+        x1 = Series(1, 2, {mono("x1"): 1})
+        k = k_series(spec(1), 2)
+        assert rational_solve([k, x1], x1.scale(2)) == [Fraction(0), Fraction(2)]
+        assert rational_solve([x1, k], k.scale(-3) + x1) == [Fraction(1), Fraction(-3)]
+        assert rational_solve([x1], k) is None
 
     def test_a_repeated_column_keeps_zero(self):
         a, b = l_series(spec(2), 2), l_series(spec(2, 1), 2)

@@ -192,6 +192,16 @@ class TestSeriesBasics:
                 delattr(s, name)
         assert (s.degree, s.trunc, dict(s.terms)) == (1, 1, {mono("x1"): 1})
 
+    def test_a_series_keeps_its_own_keys(self):
+        # a Monomial is not frozen: changing the caller's key afterwards
+        # must not change the series
+        key = mono("x1")
+        s = Series(1, 1, {key: 1})
+        key.pairs = ((5, 1),)
+        assert str(s) == "1*x1"
+        assert s.coefficient(mono("x1")) == 1 and s.coefficient(mono("x5")) == 0
+        assert all(m is not key for m in s.terms)
+
     def test_a_copy_is_the_series_itself(self):
         for s in (Series(1, 1, {mono("x1"): 1}), k_series(spec(2, 1), 2)):
             assert copy.copy(s) is s

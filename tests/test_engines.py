@@ -12,7 +12,10 @@ of the eager expansion in order and answer every operation as a copy
 built from its monomials does; the mask, split and letters of every
 monomial to degree 6 must match its tuple key; and the bit-word
 quasi-shuffle must equal the tuple one on every pair of words of total
-weight up to 10.  This
+weight up to 10.  Products, each pair of keys read through one cached
+plan, must give the coordinates of the pair loop without plans, in its
+order; reconstructions by the subset sum must give the coordinates of
+the member sum, and build no member table.  This
 file also pins the errors of out-of-span targets, checks that family
 products never reach the library's own convolution and that decomposing
 and reconstructing build no member at V, and that every library cache
@@ -20,6 +23,7 @@ is bounded.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 
 import borderqsym
 from borderqsym import (
+    Decomposition,
     Monomial,
     NonzeroResidualError,
     NotDivisibleError,
@@ -59,7 +64,9 @@ from reference import (
     reference_expand,
     reference_key,
     reference_mask,
+    reference_member_sum,
     reference_minimal_read,
+    reference_pair_loop,
     reference_product,
     reference_quasi_shuffle,
     reference_relabel,
@@ -542,3 +549,115 @@ class TestMaskCodec:
         product, expected = a * b, reference_product(a, b)
         assert (product.degree, product.trunc) == (44, 1) and packed_terms(product) == expected
         assert len(product.terms) == len(expected) > 10
+
+
+def plan_pairs():
+    """Every pair of members to degree 4, over every ordered pair of kinds, and a seeded 60 at each degree 5 to 7."""
+    rng = random.Random(27)
+    kinds = sorted(BASES)
+    for d in range(8):
+        keys = [(ka, a, kb, b) for n in range(d + 1) for a in all_subsets(n) for b in all_subsets(d - n)
+                for ka in kinds for kb in kinds]
+        yield from keys if d <= 4 else rng.sample(keys, 60)
+
+
+class TestProductPlans:
+    # q = 2, 3 and -2, mixed kinds, at V = d and (one below) V = d - 1
+    @pytest.mark.parametrize("plan_cache", ["cached", "uncached"])
+    def test_products_match_the_pair_loop(self, monkeypatch, plan_cache):
+        if plan_cache == "uncached":
+            # a product of more pairs than the cache holds leaves it as it was
+            monkeypatch.setattr(core, "_PLAN_CACHE", 0)
+        before = core._plan.cache_info()
+        count = 0
+        for ka, a, kb, b in plan_pairs():
+            d = a.n + b.n
+            for trunc in sorted({max(d - 1, 1), max(d, 1)}):
+                left, right = member(ka, a, trunc), member(kb, b, trunc)
+                expected = list(reference_pair_loop(left, right).items())
+                assert list(core._coordinates(left * right).items()) == expected, (ka, a, kb, b, trunc)
+                count += 1
+        assert count > 3000
+        assert (core._plan.cache_info() == before) == (plan_cache == "uncached")
+
+    def test_dict_born_factors(self):
+        # factors that keep their monomials read their coordinates in
+        # placement order, which is the order of the member's table
+        for ka, a, kb, b in itertools.islice(plan_pairs(), 0, None, 7):
+            trunc = max(a.n + b.n, 1)
+            left, right = member(ka, a, trunc), member(kb, b, trunc)
+            expected = list(reference_pair_loop(left, right).items())
+            for x, y in ((dict_born(left), right), (left, dict_born(right)), (dict_born(left), dict_born(right))):
+                assert type(x.terms) is not core._Placements or type(y.terms) is not core._Placements
+                assert list(core._coordinates(x * y).items()) == expected, (ka, a, kb, b)
+
+    def test_a_plan_holds_the_cached_quasi_shuffle(self):
+        # (1, (2, 1), 0) of degree 4 times (0, (1, 3), 2) of degree 6: the
+        # product has x0^1 and xinf^2, so its border is bit 0 and bits 9, 10
+        left, right = reference_mask((1, (2, 1), 0)), reference_mask((0, (1, 3), 2))
+        border, shift, words = core._plan(left, 4, right, 6)
+        assert (border, shift) == (0b11000000001, 2)
+        assert words is core._quasi_shuffle(word_bits((2, 1)), 3, word_bits((1, 3)), 4)
+
+
+def check_reconstruct(dec, trunc):
+    """reconstruct against the member sum at V, as listed in _MEMBER_SUM and by the subset sum alone."""
+    expected = reference_member_sum(dec)
+    series = reconstruct(dec, trunc)
+    assert dict(core._coordinates(series)) == expected
+    assert series == core._expand(dec.degree, trunc, expected)
+    listed = basis._MEMBER_SUM
+    try:
+        basis._MEMBER_SUM = {}
+        assert dict(core._coordinates(reconstruct(dec, trunc))) == expected
+    finally:
+        basis._MEMBER_SUM = listed
+
+
+class TestSubsetSumReconstruct:
+    def test_every_decomposition_of_every_product_to_degree_7(self):
+        # each unordered pair of K and L members once, at V = d
+        count = 0
+        for ka, a, kb, b in factor_pairs(factors(7, ("K", "L")), range(8)):
+            product = member_product(ka, a, kb, b, max(a.n + b.n, 1))
+            for decompose in (decompose_k, decompose_l):
+                check_reconstruct(decompose(product), product.trunc)
+                count += 1
+        assert count == 2 * 3601
+
+    def test_members_of_degree_10_build_no_member_table(self):
+        # many members, and a few, which below degree 8 would be summed
+        rng = random.Random(10)
+        for kind, size in itertools.product("KL", (3, 200)):
+            chosen = rng.sample(list(all_subsets(10)), size)
+            dec = Decomposition(10, kind, {s: rng.choice([-3, -1, 1, 2]) for s in chosen})
+            before = families._pattern_coords.cache_info()
+            reconstruct(dec, 12)
+            assert families._pattern_coords.cache_info() == before
+            check_reconstruct(dec, 12)
+
+
+@st.composite
+def combinations(draw):
+    """A K or L combination of degree d <= 10, with subsets that share a forced mask, and V = d or d + 2.
+
+    Filling the gap i + 1 between two members i and i + 2 keeps the
+    forced mask, so each drawn subset may bring such a twin along.
+    """
+    d = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from("KL"))
+    subsets = st.sets(st.integers(1, d), max_size=d) if d else st.just(set())
+    coeffs = {}
+    for members in draw(st.lists(subsets, max_size=draw(st.sampled_from([3, 12, 70])))):
+        coeffs[spec(d, *members)] = draw(st.sampled_from([1, -1, 2, -4, 5]))
+        gaps = sorted(i + 1 for i in members if i + 2 in members and i + 1 not in members)
+        if gaps:
+            twin = members | set(draw(st.lists(st.sampled_from(gaps), min_size=1, unique=True)))
+            coeffs[spec(d, *twin)] = draw(st.sampled_from([1, -1, 3]))
+    return Decomposition(d, kind, coeffs), draw(st.sampled_from([max(d, 1), d + 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(combinations())
+def test_random_combinations_match_the_member_sum(combination):
+    check_reconstruct(*combination)

@@ -13,6 +13,8 @@ the coordinate paths are taken and build no monomial, and that an
 expanded series shares its (index, exponent) pairs.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +22,14 @@ from hypothesis import strategies as st
 from borderqsym import (
     INF,
     Monomial,
+    NonzeroResidualError,
+    NotDivisibleError,
     Series,
     SubsetSpec,
     all_monomials,
     all_subsets,
     check_spreading,
+    decompose_l,
     k1_coefficient,
     k_series,
     k_series_q,
@@ -115,6 +120,38 @@ class TestRationalSolveAgainstTheFractionSolver:
             assert solution is None or solution[0] == solution[-1] == 0
             assert check_solve_agrees([zero], product) is None
             assert check_solve_agrees([zero, zero], Series.zero(d, d)) == [0, 0]
+
+    @pytest.mark.parametrize("kind", ["K", "L"])
+    def test_perturbed_products_to_degree_6(self, kind, monkeypatch):
+        # Every product of degree 2 and 3 and a seeded 4 at each degree 4 to
+        # 6, at V = d, with their perturbations (at V = 1 every series is
+        # quasisymmetric).  A combination of quasisymmetric columns is
+        # quasisymmetric, so a target without coordinates is None at once,
+        # placing no column's words, as its monomial system says: the
+        # Fraction solver below degree 4, the Möbius read above.
+        def refuse(*args):
+            raise AssertionError("a column's words placed")
+
+        rng = random.Random(6)
+        placements = core._Placements._placements
+        outcomes = []
+        for d in range(2, 7):
+            columns = [member(kind, s, d) for s in all_subsets(d)]
+            pairs = [(a, b) for n in range(d + 1) for a in all_subsets(n) for b in all_subsets(d - n)]
+            for a, b in pairs if d <= 3 else rng.sample(pairs, 4):
+                for target in perturbations(member_product(kind, a, kind, b, d)):
+                    if core._coordinates(target) is not None:
+                        continue
+                    monkeypatch.setattr(core._Placements, "_placements", refuse)
+                    assert rational_solve(columns, target) is None
+                    monkeypatch.setattr(core._Placements, "_placements", placements)
+                    if d <= 3:
+                        assert reference_rational_solve(columns, target) is None
+                    else:
+                        with pytest.raises((NotDivisibleError, NonzeroResidualError)):
+                            decompose_l(target)
+                    outcomes.append(d)
+        assert [outcomes.count(d) for d in range(2, 7)] == {"K": [16, 92, 12, 12, 12], "L": [12, 60, 8, 12, 10]}[kind]
 
     @pytest.mark.parametrize("q", [-3, -2, 2, 3, 5])
     def test_q_squares(self, q):
