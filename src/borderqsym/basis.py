@@ -18,18 +18,22 @@ a lone bit, so the members of the forced masks below all-ones are a basis
 of the span, which the paper shows is closed under products.  A
 combination putting G(F) on each forced mask has 2^mid(E) h(E) at E,
 where h(E) sums G over the forced masks inside E, and those are exactly
-the forced masks inside E's forced core, E without its lone bits.  So the
-target's coefficient at each mask is split as 2^mid(E) h(E) + r(E),
-0 <= r(E) < 2^mid(E); the target is in the span exactly when no r is
-left and h(E) equals h at E's core for every E, and then G is the Möbius
-transform of h read at the cores (Rota, "On the foundations of
-combinatorial theory I", 1964), d + 1 passes of Yates' transform.  Each
-nonzero G(F) goes to F's first subset, by size and then
-lexicographically.  A remainder at a forced mask is a
-:class:`NotDivisibleError` for the first subset forcing such a mask; any
-other leftover is a :class:`NonzeroResidualError` whose witness is the
-smallest monomial of the target minus the reconstruction of G (a target
-that is not quasisymmetric always leaves one).  These are the errors of
+the forced masks inside E's forced core, E without its lone bits: h is h
+read at the cores.  The Möbius transform of any h (Rota, "On the
+foundations of combinatorial theory I", 1964), d + 1 passes of Yates'
+transform, vanishes at every mask with a lone bit exactly when h is h
+read at the cores: for a lone bit b of E, the subsets T and T ^ b of E
+share a core, so their terms cancel; and the forced masks inside E are
+those inside its core.  So the target's coefficient at each mask is
+split as 2^mid(E) h(E) + r(E), 0 <= r(E) < 2^mid(E); G is the transform
+of h, and the target is in the span exactly when no r is left and G
+vanishes off the forced masks.  Each nonzero G(F) goes to F's first
+subset, by size and then lexicographically.  A remainder at a forced
+mask is a :class:`NotDivisibleError` for the first subset forcing such a
+mask; any other leftover is a :class:`NonzeroResidualError` whose
+witness is the smallest monomial of the target minus its span part,
+2^mid(E) times h at E's core at each mask E (a target that is not
+quasisymmetric always leaves one).  These are the errors of
 the walk that subtracts L members subset by subset in that order, with
 every field but the NotDivisible coefficient, which is the target's own.
 :func:`decompose_k` turns the L coefficients into K coefficients by one
@@ -73,7 +77,7 @@ from operator import add, and_, lshift, rshift, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Monomial, Series, TruncationError, _check_int, _check_trunc, _coordinates, _expand, _mask
-from .families import SubsetSpec, _bits, _forced, _lone, _pattern_coords, _representative, all_subsets
+from .families import SubsetSpec, _forced, _lone, _pattern_coords, _representative, all_subsets
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -194,10 +198,9 @@ def l_from_k(spec: SubsetSpec) -> Decomposition:
 
 
 # Entries of the mask table cache, one per degree.  A table holds the 2^d
-# subsets by bitmask, the first subset of each forced mask and the forced
-# core of each of the 2^(d+1) masks: 3.1 MB at degree 12 (the command
-# line's largest decomposition), 13.5 MB at 14 and 56 MB at 16, by
-# tracemalloc; the benchmark decomposes at degrees 0 to 7.
+# subsets by bitmask and the first subset of each forced mask: 3.1 MB at
+# degree 12 (the command line's largest decomposition), 13 MB at 14 and
+# 54 MB at 16, by tracemalloc; the benchmark decomposes at degrees 0 to 7.
 _MASK_TABLE_CACHE = 16
 
 
@@ -210,7 +213,6 @@ class _MaskTable(NamedTuple):
 
     reads: tuple       # (first subset's bitmask, forced mask) per forced mask below all-ones, in size-lex order
     specs: tuple       # subset bitmask -> SubsetSpec
-    cores: tuple       # mask -> its forced core, the largest forced mask inside it
 
 
 @lru_cache(maxsize=_MASK_TABLE_CACHE)
@@ -219,12 +221,11 @@ def _mask_table(d: int) -> _MaskTable:
     specs = [None] * (1 << d)
     firsts = {}
     for spec in all_subsets(d):
-        bits = _bits(spec.members)
+        bits = spec._bitmask
         specs[bits] = spec
         firsts.setdefault(_forced(bits), bits)
     firsts.pop(full, None)  # the forced chain joins 0 to inf: the L member is zero
-    cores = tuple(mask & ~_lone(mask, d) for mask in range(full + 1))
-    return _MaskTable(tuple((bits, forced) for forced, bits in firsts.items()), tuple(specs), cores)
+    return _MaskTable(tuple((bits, forced) for forced, bits in firsts.items()), tuple(specs))
 
 
 def _subset_passes(values: list[int], op) -> list[int]:
@@ -266,12 +267,14 @@ def _minimal_l(target: Series) -> tuple[_MaskTable, list[tuple[int, int]]]:
             if forced in rem:
                 raise NotDivisibleError(table.specs[bits], _representative(forced, d), read[forced],
                                         1 << d - forced.bit_count())
-    on_cores = list(map(h.__getitem__, table.cores))
-    g = _subset_passes(on_cores, sub)
+    g = _subset_passes(h, sub)
     terms = [(bits, c) for bits, forced in table.reads if (c := g[forced])]
-    if rem or h != on_cores or coords is None:
-        found = Decomposition._trusted(d, "L", {table.specs[bits]: c for bits, c in terms})
-        rest = target - reconstruct(found, target.trunc)
+    full = len(h) - 1
+    # in the span g vanishes off the forced masks, so its nonzeros are the terms and g[full]
+    if rem or coords is None or len(g) - g.count(0) != len(terms) + bool(g[full]):
+        # what the span does not explain: the target minus h read at each mask's forced core
+        span = {mask: h[mask & ~_lone(mask, d)] << d - mask.bit_count() for mask in range(full)}
+        rest = target - _expand(d, target.trunc, span)
         rest_coords = _coordinates(rest)
         # a coordinate's smallest monomial places its word on 1, 2, ...
         terms_left = rest.terms if rest_coords is None else {_representative(k, d): c for k, c in rest_coords.items()}
@@ -293,9 +296,9 @@ def decompose_l(target: Series) -> Decomposition:
     One read (see the module docstring): the coefficient at each mask E
     is split as 2^mid(E) h(E) + r(E), 0 <= r(E) < 2^mid(E).  A nonzero
     r at a forced mask is the :class:`NotDivisibleError`.  The
-    coefficients are the Möbius transform of h read at each mask's
-    forced core, at the forced masks, and the target is in the span
-    exactly when no r is left and that read is h itself.
+    coefficients are the Möbius transform of h at the forced masks, and
+    the target is in the span exactly when no r is left and the
+    transform is zero at every other mask.
     """
     table, terms = _minimal_l(target)
     specs = table.specs
@@ -349,7 +352,7 @@ def reconstruct(dec: Decomposition, trunc: int) -> Series:
         return _expand(d, trunc, coords)
     sums = [0] * (1 << d)
     for spec, c in dec.coeffs.items():
-        sums[_bits(spec.members)] = c
+        sums[spec._bitmask] = c
     sums = _subset_passes(sums, add)
     if dec.basis == "K":
         sums.reverse()  # index (2^d - 1) ^ T reads the sum at T's complement

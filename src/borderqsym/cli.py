@@ -6,14 +6,16 @@ sorted term list; ``--json`` switches to canonical JSON (stable key
 order, so parsing and re-serializing is byte-identical).  Exit codes:
 0 success, 1 domain error or bad flags, 2 internal invariant violation.
 A request whose monomial slice C(V + d + 1, d) at output degree d
-exceeds 10^7 is refused up front with exit 1, and so is one that would
-build a member of degree n with more than 10^7 equality patterns,
-2^(n + 1), whatever V is.  shuffle-formula spells out m + 1 shuffles of
-m + 1 letters, so it refuses (m + 1)^2 above 10^7, that is m >= 3162,
-with exit 1 as well.  A --vars below 1 is refused with exit 1 by every
+exceeds 10^7 is refused up front with exit 1; a slice of more than
+4,300 digits is never computed, and its message reads "at least
+10^4300".  So is a request that would build a member of degree n with
+more than 10^7 equality patterns, 2^(n + 1), whatever V is.
+shuffle-formula spells out m + 1 shuffles of m + 1 letters, so it
+refuses (m + 1)^2 above 10^7, that is m >= 3162, with exit 1 as well.  A --vars below 1 is refused with exit 1 by every
 command that takes it, before the size checks, so its message is the
 truncation one whatever the other flags are.  A set member with more
-digits than n is refused with exit 1 before it is read as a number.
+digits than n is refused with exit 1 before it is read as a number, and
+an n written with a sign, space, underscore or leading zero is refused.
 ``decompose`` prints the minimal form: each distinct L member at most
 once, on its first subset by size and then lexicographically, and its K
 expansion for ``--basis K``.  A NotDivisibleError, which no product of
@@ -28,14 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Optional, Sequence
 
 from .basis import NonzeroResidualError, NotDivisibleError, decompose_k, decompose_l
 from .core import Series, _check_trunc
-from .families import SubsetSpec, k_series, k_series_q, l_series
+from .families import SubsetSpec, _numeral, k_series, k_series_q, l_series
 
 # The commands that run the oracle, shuffle and verify modules import them
 # themselves, so that no other request loads them.
@@ -50,19 +51,36 @@ def dump_json(obj) -> str:
 _SLICE_LIMIT = 10**7
 
 
-def _refuse_above_limit(size: int, what: str) -> None:
-    if size > _SLICE_LIMIT:
-        raise ValueError(f"{what}, above the limit of {_SLICE_LIMIT}")
+def _too_large(what: str) -> ValueError:
+    return ValueError(f"{what}, above the limit of {_SLICE_LIMIT}")
+
+
+def _binomial(n: int, k: int, cap: int) -> Optional[int]:
+    # C(n, k), or None once it is known to exceed cap.  With k <= n - k each
+    # step C(n - k + i, i) = C(n - k + i - 1, i - 1) * (n - k + i) / i at
+    # least doubles, so the loop ends within cap.bit_length() steps.
+    k = min(k, n - k)
+    size = 1
+    for i in range(1, k + 1):
+        size = size * (n - k + i) // i
+        if size > cap:
+            return None
+    return size
 
 
 def _check_request(degree: int, trunc: int, *members: int) -> None:
     # runs before any enumeration: V >= 1, the output's monomial slice,
     # then the equality patterns each member enumerates at any V
     _check_trunc(trunc)
-    size = math.comb(trunc + degree + 1, degree)
-    _refuse_above_limit(size, f"degree {degree} at vars {trunc} spans {size} monomials")
+    if _binomial(trunc + degree + 1, degree, _SLICE_LIMIT) is None:
+        # the slice in full while Python prints an int in full, up to 4,300 digits
+        digits = sys.int_info.default_max_str_digits
+        size = _binomial(trunc + degree + 1, degree, 10**digits - 1)
+        shown = f"at least 10^{digits}" if size is None else size
+        raise _too_large(f"degree {degree} at vars {trunc} spans {shown} monomials")
     for n in members:
-        _refuse_above_limit(2 << n, f"a degree-{n} member has {2 << n} equality patterns")
+        if n + 1 >= _SLICE_LIMIT.bit_length():  # 2^(n + 1) > _SLICE_LIMIT
+            raise _too_large(f"a degree-{n} member has {2 << n} equality patterns")
 
 
 class _UsageError(Exception):
@@ -85,6 +103,10 @@ def parse_factor(text: str) -> tuple[str, SubsetSpec]:
         n = int(parts[1])
     except ValueError:
         raise ValueError(f"bad factor {text!r}; n must be an integer") from None
+    # the numeral rule of set members, since int() also reads a sign, spaces,
+    # underscores and other scripts' digits; a negative n meets the range check
+    if n >= 0 and not _numeral(parts[1]):
+        raise ValueError(f"bad factor {text!r}; n must be ASCII digits without sign, space or leading zero, such as 3")
     return parts[0], SubsetSpec.parse(n, parts[2])
 
 
@@ -145,9 +167,8 @@ def _cmd_shuffle_formula(args) -> int:
     spec = SubsetSpec.parse(args.m, args.set)
     # the expansion spells out m + 1 shuffles of m + 1 letters each
     size = (spec.n + 1) ** 2
-    _refuse_above_limit(
-        size, f"m {spec.n} expands to {spec.n + 1} shuffles of {spec.n + 1} letters, {size} letters in all"
-    )
+    if size > _SLICE_LIMIT:
+        raise _too_large(f"m {spec.n} expands to {spec.n + 1} shuffles of {spec.n + 1} letters, {size} letters in all")
     from .shuffle import k1_product, multiset_counts, multiset_json_obj
 
     specs = k1_product(spec)

@@ -53,9 +53,10 @@ class SubsetSpec(_Frozen):
     """A subset of [n] together with its ambient n.
 
     Immutable and hashable; two specs are equal when n and the members are.
+    The subset bitmask (bit i - 1 is the member i) is kept once, at birth.
     """
 
-    __slots__ = ("n", "members")
+    __slots__ = ("n", "members", "_bitmask")
 
     def __init__(self, n: int, members: frozenset[int] = frozenset()):
         _check_int(n, "n", "nonnegative")
@@ -66,6 +67,7 @@ class SubsetSpec(_Frozen):
                 raise ValueError(f"member {i!r} outside 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_bitmask", _bits(members))
 
     @classmethod
     def parse(cls, n: int, text: str) -> "SubsetSpec":
@@ -73,8 +75,7 @@ class SubsetSpec(_Frozen):
         if text == "":
             return cls(n)
         numerals = text.split(",")
-        # the text member_text writes: ASCII numerals without a leading zero
-        if not all(p.isascii() and p.isdecimal() and (p == "0" or p[0] != "0") for p in numerals):
+        if not all(map(_numeral, numerals)):
             raise ValueError(f"subset text {text!r} is not comma-separated members such as 1,2,4")
         # a numeral wider than n is out of range, and int() refuses one of
         # over 4,300 digits with a message of its own
@@ -112,6 +113,11 @@ class SubsetSpec(_Frozen):
 
     def __repr__(self) -> str:
         return f"SubsetSpec({self.n}, {{{self.member_text()}}})"
+
+
+def _numeral(text: str) -> bool:
+    # the text str() writes for a nonnegative int: ASCII digits without a leading zero
+    return text.isascii() and text.isdecimal() and (text == "0" or text[0] != "0")
 
 
 def all_subsets(n: int) -> Iterator[SubsetSpec]:
@@ -164,7 +170,7 @@ def _pattern_coords(kind: str, spec: SubsetSpec, q: int, letters: Optional[int] 
     # with all of them set; the all-ones mask is no coordinate.  With
     # letters = V < n, only the keys of words that fit in V, in the same
     # order: the others have no placement.
-    n, bits = spec.n, _bits(spec.members)
+    n, bits = spec.n, spec._bitmask
     forced = _forced(bits)
     coords = {}
     for mask in _masks(n, letters):
@@ -221,7 +227,7 @@ def m_generic_monomial(spec: SubsetSpec, trunc: int) -> Optional[Monomial]:
     _check_trunc(trunc)
     if trunc < spec.n:
         raise TruncationError(f"need trunc >= {spec.n}, got {trunc}")
-    forced = _forced(_bits(spec.members))
+    forced = _forced(spec._bitmask)
     return None if forced == (2 << spec.n) - 1 else _representative(forced, spec.n)
 
 
@@ -234,4 +240,4 @@ def m_membership(m: Monomial, spec: SubsetSpec) -> bool:
     """
     if m.degree != spec.n:
         raise ValueError(f"degree mismatch: monomial has {m.degree}, spec has n={spec.n}")
-    return _mask(m) == _forced(_bits(spec.members))
+    return _mask(m) == _forced(spec._bitmask)

@@ -24,7 +24,7 @@ from borderqsym import (
     rational_solve,
     reconstruct,
 )
-from borderqsym import basis, core
+from borderqsym import basis, core, families
 from conftest import group, mono, spec
 from reference import kind_products, reference_coordinate_walk, reference_forced_equalities, spreading_cases
 
@@ -221,10 +221,34 @@ def test_mask_table_reads_and_cores_to_degree_8():
         first.pop(full, None)
         assert [(table.specs[bits], forced) for bits, forced in table.reads] == [(s, f) for f, s in first.items()]
         assert all(bits == sum(1 << i - 1 for i in table.specs[bits].members) for bits, _ in table.reads)
+        # the forced core the error path reads, E without its lone bits, is
+        # the largest forced mask inside E
         for mask in range(full):
             inside = [forced for forced in first if forced & mask == forced]
-            assert table.cores[mask] in inside
-            assert all(forced & table.cores[mask] == forced for forced in inside)
+            core_mask = mask & ~families._lone(mask, d)
+            assert core_mask in inside
+            assert all(forced & core_mask == forced for forced in inside)
+
+
+def test_moebius_transform_vanishes_off_the_forced_masks_exactly_when_h_is_read_at_the_cores():
+    # The in-span read: the transform of h is zero at every mask with a lone
+    # bit exactly when h equals h read at the forced cores, and then it is the
+    # transform of h read at the cores.  Both ways, on seeded h, to degree 6.
+    rng = random.Random(29)
+    for d in range(7):
+        size = 2 << d
+        cores = [mask & ~families._lone(mask, d) for mask in range(size)]
+        lone = [mask for mask in range(size) if families._lone(mask, d)]
+        for _ in range(20):
+            h = [rng.randint(-5, 5) for _ in range(size)]
+            on_cores = [h[c] for c in cores]
+            assert not any(basis._subset_passes(on_cores, sub)[m] for m in lone)
+            assert (h == on_cores) is not any(basis._subset_passes(h, sub)[m] for m in lone)
+            # the converse at its edge: h read at the cores but for one mask with a lone bit
+            for mask in lone:
+                off = list(on_cores)
+                off[mask] += rng.choice((-3, -1, 1, 2))
+                assert any(basis._subset_passes(off, sub)[m] for m in lone), (d, mask)
 
 
 def test_yates_passes_match_naive_subset_and_moebius_sums():

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, JSON round trips, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -33,6 +34,19 @@ class TestFactorGrammar:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_factor(bad)
+
+    @pytest.mark.parametrize("n", ["+3", " 3", "3 ", "2_0", "03", "00", "-0", "\u0663", "\uff13"])
+    def test_n_is_a_canonical_numeral(self, run, n):
+        # int() reads each of these; the set members' numeral rule does not
+        with pytest.raises(ValueError, match="n must be ASCII digits"):
+            parse_factor(f"K:{n}:")
+        code, out, err = run("multiply", "--left", f"K:{n}:", "--right", "K:0:")
+        assert (code, out) == (1, "")
+        assert err == f"error: bad factor 'K:{n}:'; n must be ASCII digits without sign, space or leading zero, such as 3\n"
+
+    def test_n_keeps_its_other_messages(self, run):
+        assert run("multiply", "--left", "K:x:", "--right", "K:0:")[2] == "error: bad factor 'K:x:'; n must be an integer\n"
+        assert run("multiply", "--left", "K:-1:", "--right", "K:0:")[2] == "error: n must be a nonnegative integer, got -1\n"
 
 
 class TestSeriesCommands:
@@ -267,6 +281,30 @@ def test_vars_below_one_refused(run, argv):
     assert code == 1
     assert out == ""
     assert err == f"error: truncation must be a positive integer, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("n", ["7146", "30000", "1000000", "2000000"])
+def test_slice_too_large_to_print_refused_promptly(run, n):
+    # C(2n + 1, n) has over 4,300 digits: the guard stops its product at the
+    # limit instead of computing it, and says so in its own words
+    start = time.perf_counter()
+    code, out, err = run("multiply", "--left", f"K:{n}:", "--right", "K:0:")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err == f"error: degree {n} at vars {n} spans at least 10^4300 monomials, above the limit of 10000000\n"
+
+
+def test_slice_refusal_prints_a_printable_size_in_full(run):
+    # a slice of at most 4,300 digits is printed exactly, as math.comb gives it
+    for n, trunc in (("4000", "4000"), ("7145", "7145"), ("20", "2" + "0" * 60)):
+        start = time.perf_counter()
+        code, out, err = run("multiply", "--left", f"K:{n}:", "--right", "K:0:", "--vars", trunc)
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        size = math.comb(int(trunc) + int(n) + 1, int(n))
+        assert err == f"error: degree {n} at vars {trunc} spans {size} monomials, above the limit of 10000000\n"
 
 
 def test_vars_zero_refused_before_building_a_large_member(run):

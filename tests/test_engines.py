@@ -508,7 +508,7 @@ class TestWalkEmulationPins:
 
         monkeypatch.setattr(SubsetSpec, "__init__", refuse)
         for module in (families, basis):
-            for name in ("_forced", "_lone", "_split", "_pattern_coords", "all_subsets"):
+            for name in ("_forced", "_lone", "_split", "_pattern_coords", "all_subsets", "reconstruct"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         assert [(decompose_l(p).coeffs, decompose_k(p).coeffs) for p in products] == expected
