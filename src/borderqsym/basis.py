@@ -406,6 +406,7 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
     rows = list(map(list, distinct))
     width = len(kept)
     pivots: list[int] = []
+    leads: list[int] = []  # the pivot entry of each pivot row, kept aside
     r = 0
     for col in range(width):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
@@ -414,13 +415,21 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pivot = rows[r]
         pv = pivot[col]
+        ahead = pivot[col + 1:]
         for i, row in enumerate(rows):
             if i != r and row[col] != 0:
+                # the pivot row is zero before col, so only the entries ahead
+                # of it change, and a pivot row's own pivot entry scales by pv
                 f = row[col]
-                row = [pv * a - f * b for a, b in zip(row, pivot)]
-                g = math.gcd(*row)
-                rows[i] = [a // g for a in row] if g > 1 else row
+                tail = [pv * a - f * b for a, b in zip(row[col + 1:], ahead)]
+                if i < r:
+                    g = math.gcd(pv * leads[i], *tail)
+                    leads[i] = pv * leads[i] // g
+                else:
+                    g = math.gcd(*tail)
+                row[col + 1:] = [a // g for a in tail] if g > 1 else tail
         pivots.append(col)
+        leads.append(pv)
         r += 1
         if r == len(rows):
             break
@@ -431,6 +440,6 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
     from fractions import Fraction
 
     solution = [Fraction(0)] * ncols
-    for row, col in zip(rows, pivots):
-        solution[kept[col]] = Fraction(row[width], row[col])
+    for row, col, lead in zip(rows, pivots, leads):
+        solution[kept[col]] = Fraction(row[width], lead)
     return solution

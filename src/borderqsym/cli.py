@@ -7,15 +7,18 @@ order, so parsing and re-serializing is byte-identical).  Exit codes:
 0 success, 1 domain error or bad flags, 2 internal invariant violation.
 A request whose monomial slice C(V + d + 1, d) at output degree d
 exceeds 10^7 is refused up front with exit 1; a slice of more than
-4,300 digits is never computed, and its message reads "at least
-10^4300".  So is a request that would build a member of degree n with
-more than 10^7 equality patterns, 2^(n + 1), whatever V is.
-shuffle-formula spells out m + 1 shuffles of m + 1 letters, so it
-refuses (m + 1)^2 above 10^7, that is m >= 3162, with exit 1 as well.  A --vars below 1 is refused with exit 1 by every
-command that takes it, before the size checks, so its message is the
-truncation one whatever the other flags are.  A set member with more
+4,300 digits is never computed.  So is a request that would build a
+member of degree n with more than 10^7 equality patterns, 2^(n + 1),
+whatever V is.  shuffle-formula spells out m + 1 shuffles of m + 1
+letters, so it refuses (m + 1)^2 above 10^7, that is m >= 3162, with
+exit 1 as well.  A figure of more than 4,300 digits in these messages
+reads "at least 10^4300".  A --vars below 1 is refused with exit 1 by
+every command that takes it, before the size checks, so its message is
+the truncation one whatever the other flags are.  A set member with more
 digits than n is refused with exit 1 before it is read as a number, and
-an n written with a sign, space, underscore or leading zero is refused.
+an n written with a sign, space, underscore or leading zero is refused;
+so is such a value of --n, --m, --vars or --q, which may only carry a
+leading minus sign.
 ``decompose`` prints the minimal form: each distinct L member at most
 once, on its first subset by size and then lexicographically, and its K
 expansion for ``--basis K``.  A NotDivisibleError, which no product of
@@ -68,19 +71,35 @@ def _binomial(n: int, k: int, cap: int) -> Optional[int]:
     return size
 
 
+def _shown(value: Optional[int]) -> object:
+    # an int in full while Python prints one in full, up to 4,300 digits;
+    # None stands for a value already known to be past that
+    digits = sys.int_info.default_max_str_digits
+    return value if value is not None and value < 10**digits else f"at least 10^{digits}"
+
+
 def _check_request(degree: int, trunc: int, *members: int) -> None:
     # runs before any enumeration: V >= 1, the output's monomial slice,
     # then the equality patterns each member enumerates at any V
     _check_trunc(trunc)
     if _binomial(trunc + degree + 1, degree, _SLICE_LIMIT) is None:
-        # the slice in full while Python prints an int in full, up to 4,300 digits
-        digits = sys.int_info.default_max_str_digits
-        size = _binomial(trunc + degree + 1, degree, 10**digits - 1)
-        shown = f"at least 10^{digits}" if size is None else size
-        raise _too_large(f"degree {degree} at vars {trunc} spans {shown} monomials")
+        size = _binomial(trunc + degree + 1, degree, 10**sys.int_info.default_max_str_digits - 1)
+        raise _too_large(f"degree {_shown(degree)} at vars {_shown(trunc)} spans {_shown(size)} monomials")
     for n in members:
         if n + 1 >= _SLICE_LIMIT.bit_length():  # 2^(n + 1) > _SLICE_LIMIT
             raise _too_large(f"a degree-{n} member has {2 << n} equality patterns")
+
+
+def _int_flag(text: str) -> int:
+    # The int whose str() is text: an optional minus sign, then a numeral
+    # as set members write it.  Anything else reads as argparse reports
+    # text that int() refuses, "invalid int value".
+    if _numeral(text[1:] if text[:1] == "-" else text) and text != "-0":
+        try:
+            return int(text)
+        except ValueError:  # over Python's 4,300-digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 class _UsageError(Exception):
@@ -168,7 +187,8 @@ def _cmd_shuffle_formula(args) -> int:
     # the expansion spells out m + 1 shuffles of m + 1 letters each
     size = (spec.n + 1) ** 2
     if size > _SLICE_LIMIT:
-        raise _too_large(f"m {spec.n} expands to {spec.n + 1} shuffles of {spec.n + 1} letters, {size} letters in all")
+        letters = _shown(spec.n + 1)
+        raise _too_large(f"m {spec.n} expands to {letters} shuffles of {letters} letters, {_shown(size)} letters in all")
     from .shuffle import k1_product, multiset_counts, multiset_json_obj
 
     specs = k1_product(spec)
@@ -246,29 +266,29 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("kseries", _cmd_member, "construct a K family member", kind="K")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.add_argument("--set", default="", help="comma-separated ascending members, empty for {}")
-    p.add_argument("--vars", type=int, help="naturals kept (default: max(n, 1))")
-    p.add_argument("--q", type=int, default=2, help="coefficient base (default 2)")
+    p.add_argument("--vars", type=_int_flag, help="naturals kept (default: max(n, 1))")
+    p.add_argument("--q", type=_int_flag, default=2, help="coefficient base (default 2)")
 
     p = add("lseries", _cmd_member, "construct an L family member", kind="L")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.add_argument("--set", default="")
-    p.add_argument("--vars", type=int)
+    p.add_argument("--vars", type=_int_flag)
 
     p = add("multiply", _cmd_multiply, "multiply two family members")
     p.add_argument("--left", required=True, help="factor as KIND:n:set")
     p.add_argument("--right", required=True)
-    p.add_argument("--vars", type=int, help="default: total degree")
+    p.add_argument("--vars", type=_int_flag, help="default: total degree")
 
     p = add("decompose", _cmd_decompose, "decompose a product onto the K or L family")
     p.add_argument("--basis", choices=("K", "L"), default="L")
     p.add_argument("--left", required=True)
     p.add_argument("--right", default="K:0:", help="default: the unit factor K:0:")
-    p.add_argument("--vars", type=int, help="default: total degree")
+    p.add_argument("--vars", type=_int_flag, help="default: total degree")
 
     p = add("shuffle-formula", _cmd_shuffle_formula, "expand the degree-1 K product by peak sets")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_flag, required=True)
     p.add_argument("--set", default="")
 
     p = add("gp", _cmd_gp, "generalized peak set of an ABCD string")
@@ -277,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-spreading", _cmd_check_spreading, "verify coefficient doubling under resolutions")
     p.add_argument("--left", required=True)
     p.add_argument("--right", default="L:0:", help="default: the unit factor L:0:")
-    p.add_argument("--vars", type=int, help="default: total degree + 1")
+    p.add_argument("--vars", type=_int_flag, help="default: total degree + 1")
 
     p = add("check-q", _cmd_check_q, "test whether the degree-1 square stays in the span for base q")
-    p.add_argument("--q", type=int, default=3)
+    p.add_argument("--q", type=_int_flag, default=3)
 
     add("selftest", _cmd_selftest, "run the exhaustive small-degree verification suites")
     return parser

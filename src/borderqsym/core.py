@@ -253,28 +253,72 @@ def all_monomials(degree: int, trunc: int) -> Iterator[Monomial]:
     """Every degree-d monomial over the alphabet at truncation V.
 
     In the order of ``itertools.combinations_with_replacement`` over the
-    alphabet: each index takes its exponents in descending order, and the
-    pairs are built directly, each one tuple from a per-call table.
+    alphabet: each index takes its exponents in descending order.  The
+    monomials come out flat, one ``map`` per run of monomials that share
+    their leading pairs: a run ends in a tail of a cached suffix table
+    (:func:`_suffix_table`), in one factor on each index of a long
+    alphabet, or in a single pair.  The sweep is lazy: beside the tables
+    it holds one prefix per degree, whatever the size of its slice.
     """
     _check_int(degree, "degree", "nonnegative")
+    _check_trunc(trunc)
     trusted = Monomial._trusted
-    # cells[p][e] is the pair (index p of the alphabet, e)
-    cells = [[(i, e) for e in range(degree + 1)] for i in alphabet(trunc)]
-    last = len(cells) - 1
+    last = trunc + 1  # alphabet positions 0..V are the indices 0..V; position V + 1 is INF
 
-    def fill(first: int, left: int, prefix: tuple) -> Iterator[Monomial]:
-        # the monomials extending prefix by left more factors on indices from first on
-        for p in range(first, last + 1):
-            column = cells[p]
-            yield trusted(prefix + (column[left],), degree)
-            if p < last:
-                for e in range(left - 1, 0, -1):
-                    yield from fill(p + 1, left - e, prefix + (column[e],))
+    def runs(p: int, left: int, prefix: tuple) -> Iterator[tuple[tuple, Iterable[tuple]]]:
+        # (prefix, suffixes): the monomials extending prefix by left factors on positions p..last
+        if left == 1 and last - p >= _SUFFIX_TABLE:
+            # ((i, 1),) for each index before the one-factor table
+            stop = last + 1 - _SUFFIX_TABLE
+            yield prefix, zip(zip(range(p, stop), repeat(1)))
+            p = stop
+        while (count := math.comb(last - p + left, left)) > _SUFFIX_TABLE:  # the suffixes from p on
+            yield prefix, (((p, left),),)
+            for e in range(left - 1, 0, -1):
+                yield from runs(p + 1, left - e, prefix + ((p, e),))
+            p += 1
+        table = _suffix_table(trunc, left)
+        yield prefix, table[len(table) - count:]
 
-    if degree:
-        yield from fill(0, degree, ())
-    else:
+    if not degree:
         yield trusted((), 0)
+        return
+    for prefix, suffixes in runs(0, degree, ()):
+        yield from map(trusted, map(prefix.__add__, suffixes), repeat(degree))
+
+
+# Suffixes in one table of all_monomials, and tables kept.  Building the
+# tables afresh for each sweep cost more than the degree-6 sweep at V = 6
+# itself, so they are cached.  The seven tables of degrees 1 to 7 at V = 7
+# take 53 KB (tracemalloc), so a full cache holds about 0.25 MB.
+_SUFFIX_TABLE = 1 << 8
+_SUFFIX_TABLES = 1 << 5
+
+
+@lru_cache(maxsize=_SUFFIX_TABLES)
+def _suffix_table(trunc: int, left: int) -> tuple[tuple[tuple[Index, int], ...], ...]:
+    """The ways to end a monomial at V with ``left`` factors on the last positions of the alphabet.
+
+    In sweep order, from the first position with at most
+    ``_SUFFIX_TABLE`` ways left, so that the ways from any later position
+    are a tail of the table.  Built from INF down, one position at a
+    time, each position's pairs shared by its suffixes.
+    """
+    last = trunc + 1
+    start = last
+    while start and math.comb(last - start + 1 + left, left) <= _SUFFIX_TABLE:
+        start -= 1
+    after: list[list[tuple]] = [[] for _ in range(left + 1)]  # after[k]: k factors from the next position on
+    for p in range(last, start - 1, -1):
+        pairs = [(INF if p == last else p, e) for e in range(left + 1)]
+        here: list[list[tuple]] = [[]]
+        for k in range(1, left + 1):
+            out = [(pairs[k],)]
+            for e in range(k - 1, 0, -1):
+                out += [(pairs[e], *s) for s in after[k - e]]
+            here.append(out + after[k])
+        after = here
+    return tuple(after[left])
 
 
 class Series(_Frozen):
@@ -467,7 +511,12 @@ _PLAN_CACHE = 1 << 12
 
 def _mask(m: Monomial) -> int:
     """The M-coordinate of m: bit i is the flag g_i = g_{i+1} of its padded tuple."""
-    mask, pos = 0, 1  # pos: the first position after the block of g_0
+    return _read_mask(m)[0]
+
+
+def _read_mask(m: Monomial) -> tuple[int, int]:
+    # (the M-coordinate of m, its largest natural or 0), in one pass over its pairs
+    mask, pos, top = 0, 1, 0  # pos: the first position after the block of g_0
     for i, e in m.pairs:
         if i == 0:
             mask, pos = (1 << e) - 1, e + 1
@@ -476,7 +525,8 @@ def _mask(m: Monomial) -> int:
         else:
             mask |= (1 << e - 1) - 1 << pos
             pos += e
-    return mask
+            top = i
+    return mask, top
 
 
 def _split(mask: int, degree: int) -> tuple[int, int, int, int]:
@@ -587,7 +637,10 @@ class _Placements(Mapping):
 
     A read-only mapping from monomials to coefficients that stores none:
     its length is the number of placements, counted once; a lookup reads
-    the monomial's coordinate; iteration places each word on increasing
+    the monomial's coordinate and its largest natural in one pass over
+    its pairs (:func:`_read_mask`, the codec :func:`_mask` is built on),
+    and anything but a monomial of the degree with no natural above V
+    reads as absent; iteration places each word on increasing
     naturals 1..V, key by key in table order.  Every word must fit in V.
     The monomials of one iteration share their (index, exponent) pairs:
     each pair is one tuple from a per-iteration table, which halves the
@@ -606,8 +659,10 @@ class _Placements(Mapping):
         return self._len
 
     def get(self, m, default=None):
-        if isinstance(m, Monomial) and m.degree == self._degree and m.max_natural() <= self._trunc:
-            return self._coords.get(_mask(m), default)
+        if isinstance(m, Monomial) and m.degree == self._degree:
+            mask, top = _read_mask(m)
+            if top <= self._trunc:
+                return self._coords.get(mask, default)
         return default
 
     def __getitem__(self, m) -> int:

@@ -189,7 +189,9 @@ def _k_admits(g: tuple[Index, ...], members: Iterable[int]) -> bool:
 
 
 # Entries of the case-rule cache, one per (exponent pattern, right subset).
-# The oracles workload meets 32 right subsets of degree 5 times the 127
+# An entry is keyed on the monomial's exponent tuple, whether its first
+# pair is x0's and its last xinf's, and the subset's members, which
+# k1_coefficient reads without slicing its pairs.  The oracles workload meets 32 right subsets of degree 5 times the 127
 # patterns of degree 6, 4,064 entries; at about 240 bytes an entry
 # (tracemalloc, degree 7), the full cache holds 3.9 MB.
 _CASE_CACHE = 1 << 14
@@ -204,27 +206,27 @@ def k1_coefficient(mono: Monomial, right: SubsetSpec) -> int:
     table: nothing when removing it leaves the K member's support, M for
     a border or an exponent-1 natural, and 2M for a higher natural
     exponent, where M is 2 to the number of distinct naturals of
-    ``mono``.  The table depends only on the monomial's exponent pattern
-    (e0, natural exponents in index order, e_inf), which is read here
-    from ``mono.pairs``, so it runs once per pattern and right subset.
+    ``mono``.  The table depends only on the monomial's exponent pattern:
+    the exponents of ``mono.pairs`` in index order and whether the first
+    is x0's and the last xinf's.  So it runs once per pattern and right
+    subset, keyed on those three, read in one pass.
     """
     if mono.degree != right.n + 1:
         raise ValueError(f"degree mismatch: monomial has {mono.degree}, expected {right.n + 1}")
-    pairs = mono.pairs
-    e0 = pairs[0][1] if pairs[0][0] == 0 else 0
-    einf = pairs[-1][1] if pairs[-1][0] == INF else 0
-    naturals = tuple([e for _, e in pairs[e0 > 0:len(pairs) - (einf > 0)]])
-    return _k1_case(e0, naturals, einf, right.members)
+    indices, exponents = zip(*mono.pairs)
+    return _k1_case(exponents, indices[0] == 0, indices[-1] == INF, right.members)
 
 
 @lru_cache(maxsize=_CASE_CACHE)
-def _k1_case(e0: int, naturals: tuple[int, ...], einf: int, members: frozenset[int]) -> int:
+def _k1_case(exponents: tuple[int, ...], zero: bool, inf: bool, members: frozenset[int]) -> int:
     # The case table on the pattern's tuple, its naturals placed on 1, 2,
     # 3, ...; every monomial of the pattern has the same adjacent
     # equalities and borders, hence the same value.
-    pairs = [(i, e) for i, e in ((0, e0), *enumerate(naturals, 1), (INF, einf)) if e]
+    naturals = len(exponents) - zero - inf
+    indices = (0,) * zero + tuple(range(1, naturals + 1)) + (INF,) * inf
+    pairs = list(zip(indices, exponents))
     g = tuple(itertools.chain.from_iterable((i,) * e for i, e in pairs))
-    big_m = 2 ** len(naturals)
+    big_m = 2 ** naturals
     total = 0
     for i, e in pairs:
         at = g.index(i)

@@ -343,6 +343,51 @@ def test_shuffle_formula_refuses_a_quadratic_expansion_promptly(run):
         assert size in err and "10000000" in err
 
 
+def test_figures_past_4300_digits_read_at_least_10_to_the_4300(run):
+    # (m + 1)^2 of a 2,200-digit m, and the degree and default vars n + 1 of a
+    # 4,300-digit n, each have more digits than Python prints
+    m = "1" * 2200
+    code, out, err = run("shuffle-formula", "--m", m)
+    assert (code, out) == (1, "")
+    letters = str(int(m) + 1)
+    assert err == (f"error: m {m} expands to {letters} shuffles of {letters} letters, "
+                   "at least 10^4300 letters in all, above the limit of 10000000\n")
+    n = "9" * 4300
+    code, out, err = run("multiply", "--left", f"K:{n}:", "--right", "K:1:")
+    assert (code, out) == (1, "")
+    assert err == ("error: degree at least 10^4300 at vars at least 10^4300 spans at least 10^4300 monomials, "
+                   "above the limit of 10000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("kseries", "--vars", "2", "--n", "0_2"),
+    ("kseries", "--vars", "2", "--n", " +2"),
+    ("kseries", "--n", "02"),
+    ("kseries", "--n", "-0"),
+    ("kseries", "--n", "1", "--q", "+3"),
+    ("lseries", "--n", "2", "--vars", "2_0"),
+    ("multiply", "--left", "K:1:", "--right", "K:1:", "--vars", "-02"),
+    ("shuffle-formula", "--m", "\u0663"),
+    ("check-q", "--q", "03"),
+])
+def test_integer_flags_take_only_the_text_str_writes(run, argv):
+    # int() reads each of these; only a leading minus sign is allowed
+    flag, text = argv[-2:]
+    code, out, err = run(*argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f": error: argument {flag}: invalid int value: {text!r}\n")
+
+
+def test_integer_flags_keep_their_own_checks(run):
+    # a canonical negative value still meets the library's range check
+    assert run("kseries", "--n", "-1")[::2] == (1, "error: n must be a nonnegative integer, got -1\n")
+    assert run("kseries", "--n", "2", "--vars", "-3")[::2] == (1, "error: truncation must be a positive integer, got -3\n")
+    assert run("kseries", "--n", "1", "--vars", "1", "--q", "-2")[:2] == (0, "1 x0\n-2 x1\n1 xinf\n")
+    # text of over 4,300 digits reads as it did under int()
+    long = "1" * 5000
+    assert run("kseries", "--n", long)[2].endswith(f"invalid int value: {long!r}\n")
+
+
 # Runs one request in a child without site, so that no .pth hook of the
 # environment loads a module first, and reports every module it loaded.
 PROBE = """

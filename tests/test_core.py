@@ -1,8 +1,10 @@
 """Core arithmetic: monomials, series, text encoding, quasisymmetry."""
 
+import collections
 import copy
 import itertools
 import math
+import tracemalloc
 from collections.abc import Mapping
 
 import pytest
@@ -213,6 +215,29 @@ class TestSeriesBasics:
         assert a.coefficient(mono("x1*x2")) == 4
         assert a.coefficient(mono("x1")) == 0  # degree mismatch reads as 0
 
+    def test_placement_lookups_agree_with_a_dict_born_copy(self):
+        # every monomial of degree <= 6 at V = d + 1, and keys that are no
+        # term: no Monomial, the wrong degree, a natural above V
+        for d in range(7):
+            trunc = d + 1
+            for n in range(d + 1):
+                view = k_series(spec(n, *range(1, n + 1, 2)), trunc) * l_series(spec(d - n, *range(2, d - n + 1, 2)), trunc)
+                assert isinstance(view.terms, core._Placements)
+                born = Series(d, trunc, dict(view.terms.items()))
+                assert not isinstance(born.terms, core._Placements)
+                above = [m for m in all_monomials(d, trunc + 2) if m.max_natural() > trunc]
+                borders = [Monomial({0: e, INF: d - e}) for e in range(d + 1)]
+                wrong = [*all_monomials(d + 1, trunc), *(all_monomials(d - 1, trunc) if d else ())]
+                others = ["x1", str(borders[0]), borders[0].pairs, 0, None, 2.5]
+                for m in [*all_monomials(d, trunc), *borders, *above, *wrong, *others]:
+                    assert view.coefficient(m) == born.coefficient(m), (d, n, m)
+                    assert view.terms.get(m, "none") == born.terms.get(m, "none"), (d, n, m)
+                    assert (m in view.terms) == (m in born.terms), (d, n, m)
+                for m in [*above, *wrong, *others]:
+                    assert view.coefficient(m) == 0
+                    with pytest.raises(KeyError):
+                        view.terms[m]
+
     def test_restrict_drops_high_naturals(self):
         a = k_series(spec(2, 1), 3)
         assert a.restrict(2) == k_series(spec(2, 1), 2)
@@ -272,13 +297,43 @@ def test_max_natural():
     assert Monomial().max_natural() == 0
 
 
+def grouped_pairs(degree, trunc):
+    # the pairs of every index tuple of combinations_with_replacement, in its order
+    return [
+        tuple((i, len(list(run))) for i, run in itertools.groupby(g))
+        for g in itertools.combinations_with_replacement(alphabet(trunc), degree)
+    ]
+
+
 def test_all_monomials_match_their_index_tuples():
-    for d in range(6):
-        for v in range(1, 5):
-            tuples = itertools.combinations_with_replacement(alphabet(v), d)
-            expected = [Monomial.from_indices(g) for g in tuples]
+    # every run boundary of the sweep at small V: the suffix tables cover whole alphabets
+    for d in range(8):
+        for v in range(1, 9):
             out = list(all_monomials(d, v))
-            assert [(m.pairs, m.degree) for m in out] == [(m.pairs, m.degree) for m in expected]
+            assert [m.pairs for m in out] == grouped_pairs(d, v), (d, v)
+            assert all(m.degree == d for m in out)
+
+
+@pytest.mark.parametrize("degree, trunc", [(1, 600), (2, 300), (3, 40), (4, 14)])
+def test_all_monomials_past_the_suffix_tables(degree, trunc):
+    # long alphabets: lone pairs, columns of one factor, then table tails
+    assert [m.pairs for m in all_monomials(degree, trunc)] == grouped_pairs(degree, trunc)
+
+
+@pytest.mark.parametrize("degree, trunc", [(1, 10**6 - 2), (3, 178)])
+def test_a_sweep_of_a_million_monomials_keeps_a_fixed_peak(degree, trunc):
+    # the sweep is lazy and keeps no copy of its slice: its traced peak,
+    # suffix tables included, stays far below one monomial per entry
+    # (an O(V) table of pairs at V = 10^6 would hold over 200 MB)
+    assert math.comb(trunc + degree + 1, degree) in range(980_000, 1_000_001)
+    core._suffix_table.cache_clear()
+    tracemalloc.start()
+    try:
+        collections.deque(all_monomials(degree, trunc), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_all_monomials_at_degree_7_and_0():
