@@ -76,7 +76,7 @@ from itertools import combinations, compress, repeat
 from operator import add, and_, lshift, rshift, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
-from .core import Monomial, Series, TruncationError, _check_int, _check_trunc, _coordinates, _expand, _mask
+from .core import Monomial, Series, TruncationError, _check_int, _check_trunc, _expand, _mask
 from .families import SubsetSpec, _forced, _lone, _pattern_coords, _representative, all_subsets
 
 if TYPE_CHECKING:
@@ -251,7 +251,7 @@ def _minimal_l(target: Series) -> tuple[_MaskTable, list[tuple[int, int]]]:
     if target.trunc < d:
         raise TruncationError(f"need trunc >= degree {d}, got {target.trunc}")
     table = _mask_table(d)
-    coords = _coordinates(target)
+    coords = target._coords
     read = coords
     if coords is None:
         # one monomial per coordinate: its smallest placement, on the naturals 1..k
@@ -275,7 +275,7 @@ def _minimal_l(target: Series) -> tuple[_MaskTable, list[tuple[int, int]]]:
         # what the span does not explain: the target minus h read at each mask's forced core
         span = {mask: h[mask & ~_lone(mask, d)] << d - mask.bit_count() for mask in range(full)}
         rest = target - _expand(d, target.trunc, span)
-        rest_coords = _coordinates(rest)
+        rest_coords = rest._coords
         # a coordinate's smallest monomial places its word on 1, 2, ...
         terms_left = rest.terms if rest_coords is None else {_representative(k, d): c for k, c in rest_coords.items()}
         if terms_left:
@@ -380,7 +380,7 @@ def rational_solve(columns: Sequence[Series], target: Series) -> Optional[list[F
         if col.degree != target.degree or col.trunc != target.trunc:
             raise ValueError("columns must match the target's degree and truncation")
     series = (*columns, target)
-    tables = [_coordinates(s) for s in series]
+    tables = [s._coords for s in series]
     if any(t is None for t in tables):
         if tables[-1] is None and None not in tables[:-1]:
             return None  # a combination of quasisymmetric columns is quasisymmetric

@@ -12,7 +12,9 @@ member of degree n with more than 10^7 equality patterns, 2^(n + 1),
 whatever V is.  shuffle-formula spells out m + 1 shuffles of m + 1
 letters, so it refuses (m + 1)^2 above 10^7, that is m >= 3162, with
 exit 1 as well.  A figure of more than 4,300 digits in these messages
-reads "at least 10^4300".  A --vars below 1 is refused with exit 1 by
+reads "at least 10^4300".  A member with a coefficient of more than
+4,300 digits (kseries with a long --q) is refused with exit 1 before
+any output.  A --vars below 1 is refused with exit 1 by
 every command that takes it, before the size checks, so its message is
 the truncation one whatever the other flags are.  A set member with more
 digits than n is refused with exit 1 before it is read as a number, and
@@ -154,7 +156,12 @@ def _cmd_member(args) -> int:
     spec = SubsetSpec.parse(args.n, args.set)
     trunc = args.vars if args.vars is not None else max(args.n, 1)
     _check_request(args.n, trunc, args.n)
-    _emit_series(k_series_q(spec, trunc, args.q) if args.kind == "K" else l_series(spec, trunc), args.json)
+    series = k_series_q(spec, trunc, args.q) if args.kind == "K" else l_series(spec, trunc)
+    # refused before the first byte, not by Python's digit limit halfway through the output
+    top = max(map(abs, series._coords.values()), default=0)
+    if top >= 10**sys.int_info.default_max_str_digits:
+        raise ValueError(f"the member has a coefficient of {_shown(top)}, too many digits to print")
+    _emit_series(series, args.json)
     return 0
 
 

@@ -25,21 +25,21 @@ words (Hoffman, "Quasi-shuffle products", 2000), so
 :meth:`Series.mul` works on coordinates, with one cached plan per pair
 of keys (border bits, word shift, quasi-shuffle), and so do addition,
 scaling, comparison and restriction when every operand has them.  A
-series born from coordinates (a family member, a product, a
-reconstruction, a sum) keeps only them: its ``terms`` is a read-only
-mapping view that places the words at V when it is iterated or looked
-up, and stores no monomial.
-Any other series keeps a validated dict of its monomials; its
-coordinates, or the finding that it has none, are read once and kept
-beside it.  The monomial convolution runs only when a factor is not
-quasisymmetric.
+series decides its representation when it is built.  One born from
+coordinates (a family member, a product, a reconstruction, a sum) keeps
+only them, and so does one built from monomials that turn out to be
+quasisymmetric, read in the constructor's one pass over its terms: its
+``terms`` is a read-only mapping view that places the words at V when
+it is iterated or looked up, and stores no monomial.  Any other series
+keeps a validated dict of its monomials and no coordinates.  The
+monomial convolution runs only when a factor is not quasisymmetric.
 
 A :class:`Series` refuses assignment to its attributes and its ``terms``
-is read-only, so a series can be shared freely, across threads and by
-the member caches (it keeps its M-coordinates once read; they never
-change, so a race only repeats the read).  A :class:`Monomial` is not
-frozen: no cache shares one, each caller owns the monomials it gets, and
-a series keeps its own copy of every key it is given.
+is read-only, and no field changes after the constructor, so a series
+can be shared freely, across threads and by the member caches.  A
+:class:`Monomial` is not frozen: no cache shares one, each caller owns
+the monomials it gets, and a series keeps its own copy of every key it
+is given.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 from operator import sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 INF: float = float("inf")
 
@@ -330,10 +330,13 @@ class Series(_Frozen):
     coefficient is zero.  A zero series keeps its degree tag.  The
     attributes refuse assignment and ``terms`` is a read-only view, so a
     shared (cached) series cannot be altered; ``copy.copy`` returns the
-    series itself.  The constructor keeps a validated dict of its own
-    copies of the keys behind ``terms``; a series born from M-coordinates
-    (see :func:`_expand`) keeps only its coordinates, and its ``terms``
-    places them at V on demand.
+    series itself.  In the pass that validates the terms the constructor
+    groups them by M-coordinate.  When every group holds all C(V,
+    letters) placements with one shared coefficient, the series keeps
+    only that table, in the order the coordinates first appear, and its
+    ``terms`` places it at V on demand, as for a series born from
+    M-coordinates (see :func:`_expand`).  Otherwise it keeps a dict of
+    its own copies of the keys and no table.
     """
 
     __slots__ = ("degree", "trunc", "terms", "_coords")
@@ -341,22 +344,31 @@ class Series(_Frozen):
     def __init__(self, degree: int, trunc: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
         _check_int(degree, "degree", "nonnegative")
         _check_trunc(trunc)
-        clean: dict[Monomial, int] = {}
+        kept: list[tuple[Monomial, int]] = []
+        groups: dict[int, list[int]] = {}  # the coefficients read at each M-coordinate
         for m, c in dict(terms).items():
             if not isinstance(m, Monomial):
                 raise ValueError(f"term {m!r} is not a Monomial")
             _check_int(c, "coefficient", of=m)
             if m.degree != degree:
                 raise ValueError(f"monomial {m} has degree {m.degree}, series is homogeneous of degree {degree}")
-            if m.max_natural() > trunc:
+            mask, top = _read_mask(m)
+            if top > trunc:
                 raise ValueError(f"monomial {m} uses a natural index beyond truncation {trunc}")
             if c:
-                # its own copy of the key: a Monomial is not frozen, and the caller keeps theirs
-                clean[Monomial._trusted(m.pairs, degree)] = c
+                kept.append((m, c))
+                groups.setdefault(mask, []).append(c)
+        # quasisymmetric when each coordinate has all its C(V, letters) placements, with one coefficient
+        if all(len(cs) == math.comb(trunc, degree - mask.bit_count()) == cs.count(cs[0]) for mask, cs in groups.items()):
+            table = MappingProxyType({mask: cs[0] for mask, cs in groups.items()})
+            view = _Placements(degree, trunc, table)
+        else:
+            # its own copy of each key: a Monomial is not frozen, and the caller keeps theirs
+            table, view = None, MappingProxyType({Monomial._trusted(m.pairs, degree): c for m, c in kept})
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-        object.__setattr__(self, "_coords", None)  # M-coordinates once read; False when there are none
+        object.__setattr__(self, "terms", view)
+        object.__setattr__(self, "_coords", table)
 
     @classmethod
     def _trusted(cls, degree: int, trunc: int, terms: Mapping[Monomial, int], coords: Mapping[int, int]) -> "Series":
@@ -386,7 +398,7 @@ class Series(_Frozen):
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         if self.trunc != other.trunc:
             raise ValueError(f"truncation mismatch: {self.trunc} vs {other.trunc}")
-        a, b = _coordinates(self), _coordinates(other)
+        a, b = self._coords, other._coords
         if a is None or b is None:
             out = self.terms.copy()
             for m, c in other.terms.items():
@@ -399,7 +411,7 @@ class Series(_Frozen):
 
     def scale(self, c: int) -> "Series":
         _check_int(c, "scale factor")
-        coords = _coordinates(self)
+        coords = self._coords
         if coords is None:
             return Series(self.degree, self.trunc, {m: c * v for m, v in self.terms.items()})
         return _expand(self.degree, self.trunc, {key: c * v for key, v in coords.items()})
@@ -408,7 +420,7 @@ class Series(_Frozen):
         """The exact product; on M-coordinates when both factors are quasisymmetric."""
         if self.trunc != other.trunc:
             raise ValueError(f"truncation mismatch: {self.trunc} vs {other.trunc}")
-        a, b = _coordinates(self), _coordinates(other)
+        a, b = self._coords, other._coords
         if a is None or b is None:
             return _convolve(self, other)
         da, db = self.degree, other.degree
@@ -435,7 +447,7 @@ class Series(_Frozen):
         _check_trunc(trunc)
         if trunc > self.trunc:
             raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
-        coords = _coordinates(self)
+        coords = self._coords
         if coords is None:
             return Series(self.degree, trunc, {m: c for m, c in self.terms.items() if m.max_natural() <= trunc})
         return _expand(self.degree, trunc, coords)
@@ -471,9 +483,10 @@ class Series(_Frozen):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series) or (self.degree, self.trunc) != (other.degree, other.trunc):
             return False
-        a, b = _coordinates(self), _coordinates(other)
+        a, b = self._coords, other._coords
         if a is None or b is None:
-            return self.terms == other.terms
+            # equal terms would have been read as equal tables at birth
+            return a is b and self.terms == other.terms
         return a == b
 
     def __str__(self) -> str:
@@ -546,37 +559,6 @@ def _letters(word: int, weight: int) -> list[int]:
     return [len(run) + 1 for run in bin(word | 1 << weight)[:2:-1].split("0")[:-1]]
 
 
-def _coordinates(series: Series) -> Optional[Mapping[int, int]]:
-    """The series' M-coordinates, or None when it is not quasisymmetric.
-
-    The one place where quasisymmetry is tested; :func:`relabel_check`
-    only reports the answer.  A series born from coordinates has them
-    already.  Any other series has its terms grouped by coordinate, and
-    each group must hold all C(V, letters) placements with one shared
-    coefficient.  The answer is kept on the series, ``False`` for one
-    without coordinates, so each series is read at most once.
-    """
-    coords = series._coords
-    if coords is None:
-        coords = _read_coordinates(series)
-        object.__setattr__(series, "_coords", coords)
-    return None if coords is False else coords
-
-
-def _read_coordinates(series: Series) -> Mapping[int, int] | bool:
-    # a dict-born series' terms grouped by coordinate, or False
-    coords: dict[int, int] = {}
-    placements: dict[int, int] = {}
-    for m, c in series.terms.items():
-        key = _mask(m)
-        if coords.setdefault(key, c) != c:
-            return False
-        placements[key] = placements.get(key, 0) + 1
-    if any(n != math.comb(series.trunc, series.degree - key.bit_count()) for key, n in placements.items()):
-        return False
-    return MappingProxyType(coords)
-
-
 @lru_cache(maxsize=_QUASI_SHUFFLE_CACHE)
 def _quasi_shuffle(u: int, su: int, v: int, sv: int) -> tuple[tuple[int, int], ...]:
     """Hoffman's quasi-shuffle of words u and v of weights su and sv, as (word, multiplicity) pairs.
@@ -639,9 +621,9 @@ class _Placements(Mapping):
     its length is the number of placements, counted once; a lookup reads
     the monomial's coordinate and its largest natural in one pass over
     its pairs (:func:`_read_mask`, the codec :func:`_mask` is built on),
-    and anything but a monomial of the degree with no natural above V
-    reads as absent; iteration places each word on increasing
-    naturals 1..V, key by key in table order.  Every word must fit in V.
+    and any other hashable key reads as absent; iteration places each
+    word on increasing naturals 1..V, key by key in table order.  Every
+    word must fit in V.
     The monomials of one iteration share their (index, exponent) pairs:
     each pair is one tuple from a per-iteration table, which halves the
     memory of a copy of the terms.
@@ -663,6 +645,7 @@ class _Placements(Mapping):
             mask, top = _read_mask(m)
             if top <= self._trunc:
                 return self._coords.get(mask, default)
+        hash(m)  # an unhashable key raises TypeError, as it does in a dict
         return default
 
     def __getitem__(self, m) -> int:
@@ -711,8 +694,8 @@ def relabel_check(series: Series) -> bool:
     on the word of natural exponents read in increasing index order, but
     not on which strictly increasing natural indices carry that word.
     Checked against every index choice within [1..trunc], so absent
-    relabelings count as coefficient zero.  This is the public face of
-    the M-coordinate read: the series is quasisymmetric exactly when it
-    has coordinates.
+    relabelings count as coefficient zero.  A series decides this when
+    it is built, so the check only reports it: the series is
+    quasisymmetric exactly when it keeps a table of M-coordinates.
     """
-    return _coordinates(series) is not None
+    return series._coords is not None

@@ -47,7 +47,6 @@ from .core import (
     Series,
     TruncationError,
     _check_trunc,
-    _coordinates,
     _Frozen,
     _mask,
     all_monomials,
@@ -159,7 +158,7 @@ def check_spreading(f: Series) -> bool:
     n = f.degree
     if f.trunc < n + 1:
         raise TruncationError(f"need trunc >= degree + 1 = {n + 1}, got {f.trunc}")
-    coords = _coordinates(f)
+    coords = f._coords
     if coords is None:
         # a resolution is the minimal representative of its mask
         cases = ((_mask(m), f.coefficient(m)) for m in all_monomials(n, f.trunc))

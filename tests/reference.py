@@ -254,7 +254,7 @@ def reference_coordinate_walk(target, subset_order=None):
     if target.trunc < d:
         raise TruncationError(f"need trunc >= degree {d}, got {target.trunc}")
     order = list(all_subsets(d)) if subset_order is None else list(subset_order)
-    coords = core._coordinates(target)
+    coords = target._coords
     if coords is None:
         residual = {reference_key(m): c for m, c in target.terms.items() if m.max_natural() == m.distinct_naturals()}
     else:
@@ -321,7 +321,7 @@ def reference_minimal_read(target):
     the combination gives the target at every pattern.
     """
     d = target.degree
-    coords = core._coordinates(target)
+    coords = target._coords
     if coords is None:
         return None
     c = tuple_keyed(coords, d)
@@ -380,9 +380,9 @@ def reference_pair_loop(a, b):
     of each quasi-shuffle.
     """
     n = a.degree + b.degree
-    right = [(*core._split(key, b.degree), c) for key, c in core._coordinates(b).items()]
+    right = [(*core._split(key, b.degree), c) for key, c in b._coords.items()]
     out = {}
-    for key, ca in core._coordinates(a).items():
+    for key, ca in a._coords.items():
         a0, u, su, ainf = core._split(key, a.degree)
         for b0, v, sv, binf, cb in right:
             e0, einf = a0 + b0, ainf + binf
@@ -427,7 +427,7 @@ def reference_expand(degree, trunc, coords):
 
 def reference_flags_spreading(f):
     """The flags sweep: by pattern on coordinates, else by monomial of the slice."""
-    coords = core._coordinates(f)
+    coords = f._coords
     if coords is None:
         cases = ((reference_equality_pattern(m), f.coefficient(m)) for m in all_monomials(f.degree, f.trunc))
 
@@ -553,12 +553,12 @@ def member_product(kind_a, a, kind_b, b, trunc):
     return member(kind_a, a, trunc) * member(kind_b, b, trunc)
 
 
-def kind_products(degree, every=1):
+def kind_products(degree, every=1, pairs=KIND_PAIRS):
     """Every product (or every n-th) of two members of total degree d at V = d, for each pair of kinds."""
     trunc = max(degree, 1)
     keys = ((ka, left, kb, right, trunc)
             for a in range(degree + 1) for left in all_subsets(a) for right in all_subsets(degree - a)
-            for ka, kb in KIND_PAIRS)
+            for ka, kb in pairs)
     for key in itertools.islice(keys, None, None, every):
         yield member_product(*key)
 

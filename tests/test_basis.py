@@ -24,7 +24,7 @@ from borderqsym import (
     rational_solve,
     reconstruct,
 )
-from borderqsym import basis, core, families
+from borderqsym import basis, families
 from conftest import group, mono, spec
 from reference import kind_products, reference_coordinate_walk, reference_forced_equalities, spreading_cases
 
@@ -205,7 +205,7 @@ class TestDecomposeL:
             1, 3, 6, 11, 20, 36, 64, 113, 199, 350, 615, 1080
         ]
         for d in range(7):
-            tables = {frozenset(core._coordinates(l_series(s, max(d, 1))).items()) for s in all_subsets(d)}
+            tables = {frozenset(l_series(s, max(d, 1))._coords.items()) for s in all_subsets(d)}
             assert len(tables - {frozenset()}) == forced_masks(d)
         assert forced_masks(0) == 1
 
@@ -423,7 +423,7 @@ class TestRationalSolve:
         # breaks the proportion between the two rows and leaves the span
         family = l_series if kind == "L" else k_series
         columns = [family(s, 7) for s in all_subsets(7)]
-        tables = [core._coordinates(c) for c in columns]
+        tables = [c._coords for c in columns]
         pairs = [(a, b) for n in range(8) for a in all_subsets(n) for b in all_subsets(7 - n)]
         for a, b in random.Random(7).sample(pairs, 4):
             product = family(a, 7) * family(b, 7)
@@ -433,7 +433,7 @@ class TestRationalSolve:
             for x, table in zip(solution, tables):
                 for key, c in table.items():
                     total[key] = total.get(key, 0) + x * c
-            assert {k: c for k, c in total.items() if c} == dict(core._coordinates(product)), (a, b)
+            assert {k: c for k, c in total.items() if c} == dict(product._coords), (a, b)
             assert reconstruct(decompose_l(product), 7) == product
             perturbed = product + group(7, 7, (1, (1,) * 6, 0), 1)
             assert rational_solve(columns, perturbed) is None, (a, b)

@@ -206,6 +206,15 @@ class TestExitCodes:
         code, _, err = run("kseries", "--n", "2", "--set", "1" * 5000)
         assert (code, err) == (1, "error: member of 5000 digits outside 1..2\n")
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_coefficient_too_long_to_print(self, run, as_json):
+        # q^2, the coefficient at x1*x2, has 6,000 digits: refused before any output
+        argv = ["kseries", "--n", "2", "--vars", "2", "--q", "9" * 3000, *(["--json"] if as_json else [])]
+        assert run(*argv) == (1, "", "error: the member has a coefficient of at least 10^4300, too many digits to print\n")
+        argv[6] = "9" * 2000  # q^2 has 4,000 digits, which print
+        code, out, _ = run(*argv)
+        assert code == 0 and str(10**2000 - 1) in out
+
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0
 

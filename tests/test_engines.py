@@ -51,6 +51,7 @@ from borderqsym import (
 from borderqsym import basis, cli, core, families
 from conftest import BASES, group, member, mono, perturbations, spec
 from reference import (
+    KIND_PAIRS,
     compositions,
     factor_pairs,
     factors,
@@ -114,13 +115,13 @@ def check_walk(reference, target):
 def check_relabel_agreement(series):
     expected = reference_relabel(series)
     assert relabel_check(series) == expected
-    assert (core._coordinates(series) is not None) == expected
+    assert (series._coords is not None) == expected
 
 
 def check_kept_coordinates(series):
     # the coordinates a member or product keeps are those its terms give
     fresh = Series(series.degree, series.trunc, series.terms)
-    assert dict(core._coordinates(fresh)) == dict(core._coordinates(series))
+    assert dict(fresh._coords) == dict(series._coords)
 
 
 class TestExhaustive:
@@ -288,9 +289,59 @@ def check_view(series, coords):
     assert terms == expected
 
 
-def dict_born(series):
-    """A copy that keeps its monomials, as any series not born from coordinates."""
+def hand_built(series):
+    """A copy built from the series' monomials, as a caller builds a series by hand."""
     return Series(series.degree, series.trunc, dict(series.terms.items()))
+
+
+def plain_sum(a, b, sign):
+    """a + sign * b on plain dicts of terms, zeros dropped."""
+    total = {m: a.get(m, 0) + sign * b.get(m, 0) for m in {**a, **b}}
+    return {m: c for m, c in total.items() if c}
+
+
+def plain_str(terms):
+    """The text of a series with these terms, as ``Series.__str__`` writes it."""
+    return " + ".join(f"{c}*{m}" for m, c in sorted(terms.items(), key=lambda mc: mc[0].sort_key())) or "0"
+
+
+class TestBirth:
+    def test_a_hand_built_product_keeps_its_table(self):
+        # every K x K, K x L and L x L product of degree <= 6 at V = max(d, 1)
+        count = 0
+        for degree in range(7):
+            for product in kind_products(degree, pairs=KIND_PAIRS[:3]):
+                copy = hand_built(product)
+                assert type(copy.terms) is core._Placements and copy == product
+                assert list(copy._coords.items()) == list(product._coords.items())
+                count += 1
+        assert count == sum(3 * 2**d * (d + 1) for d in range(7))
+
+    def test_relabel_check_reports_the_representation(self):
+        # members, products to degree 6, their sums, scalings and
+        # restrictions, perturbations, zeros and hand-built copies of all of
+        # these: a series keeps a table exactly when it is quasisymmetric
+        corpus = [member(kind, s, trunc) for kind, s in factors(3) for trunc in {max(s.n, 1), s.n + 1}]
+        # plain dicts handed to the constructor: each hand-built series keeps these terms
+        plains = []
+        for degree in range(7):
+            products = list(kind_products(degree, {4: 7, 5: 37, 6: 227}.get(degree, 1)))
+            for p, q in zip(products, products[1:] + products[:1]):
+                corpus += [p, p + q, p - p, p.scale(-3), p.restrict(max(degree - 1, 1)), *perturbations(p)]
+                terms = dict(p.terms.items())
+                for m in itertools.islice(terms, 1):  # none for a zero product
+                    plains += [(p, {**terms, m: terms[m] + 1}), (p, {k: c for k, c in terms.items() if k != m})]
+        corpus += [Series.zero(d, trunc) for d in range(4) for trunc in range(1, 4)]
+        plains += [(x, dict(x.terms.items())) for x in corpus]
+        for x, terms in plains:
+            copy = Series(x.degree, x.trunc, terms)
+            assert dict(copy.terms.items()) == terms
+            corpus.append(copy)
+        tables = 0
+        for series in corpus:
+            assert relabel_check(series) == (type(series.terms) is core._Placements) == reference_relabel(series)
+            tables += relabel_check(series)
+        assert 1000 < tables < len(corpus)
 
 
 class TestTermsView:
@@ -319,7 +370,7 @@ class TestTermsView:
                     continue
                 for trunc in (d, d + 1):
                     product = member_product(ka, a, kb, b, trunc)
-                    coords = core._coordinates(product)
+                    coords = product._coords
                     if (d, trunc, tuple(coords.items())) in seen:
                         continue
                     seen.add((d, trunc, tuple(coords.items())))
@@ -360,33 +411,43 @@ class TestTermsView:
 
     def test_zero_coefficients_are_dropped_at_birth(self):
         series = core._expand(2, 2, {0b001: 0, 0b010: 3})
-        assert dict(core._coordinates(series)) == {0b010: 3}
+        assert dict(series._coords) == {0b010: 3}
         # x1^2 and x2^2: the placements of x0*x_i are not counted
         assert len(series.terms) == 2
         assert dict(series.terms.items()) == {mono("x1^2"): 3, mono("x2^2"): 3}
         p = k_series(spec(2, 1), 3)
         for zero in (p - p, p.scale(0)):
-            assert dict(core._coordinates(zero)) == {} and len(zero.terms) == 0 and zero.is_zero()
+            assert dict(zero._coords) == {} and len(zero.terms) == 0 and zero.is_zero()
 
 
 @settings(max_examples=25, deadline=None)
 @given(product_keys(5, 1), st.sampled_from([0, 1, -1, 3]))
 def test_coordinate_born_series_answer_like_dict_born_copies(key, c):
+    # A hand-built copy keeps the same table in the same order, or the same
+    # monomials.  Each answer of both is checked against plain dicts of the
+    # terms computed here, so the checks hold whichever way a series is kept.
     product = member_product(*key)
     born = [product, *perturbations(product)]
-    copies = [dict_born(x) for x in born]
+    copies = [hand_built(x) for x in born]
+    plains = [dict(x.terms.items()) for x in born]
     slice_ = list(all_monomials(product.degree, product.trunc + 1))
-    for x, dx in zip(born, copies):
-        assert str(x) == str(dx)
-        assert x.is_zero() == dx.is_zero()
-        assert [x.coefficient(m) for m in slice_] == [dx.coefficient(m) for m in slice_]
-        assert str(x.scale(c)) == str(dx.scale(c))
-        for trunc in range(1, product.trunc + 1):
-            assert str(x.restrict(trunc)) == str(dx.restrict(trunc))
-        for y, dy in zip(born, copies):
-            assert (x == y) == (dx == dy) == (x == dy) == (dx == y)
-            assert str(x + y) == str(dx + dy) and x + y == dx + dy
-            assert str(x - y) == str(dx - dy) and x - y == dx - dy
+    for x, dx, px in zip(born, copies, plains):
+        assert x == dx and type(x.terms) is type(dx.terms)
+        assert (x._coords is None) == (dx._coords is None)
+        assert x._coords is None or list(x._coords.items()) == list(dx._coords.items())
+        for s in (x, dx):
+            assert str(s) == plain_str(px)
+            assert s.is_zero() == (not px)
+            assert [s.coefficient(m) for m in slice_] == [px.get(m, 0) for m in slice_]
+            assert dict(s.scale(c).terms.items()) == {m: c * v for m, v in px.items() if c * v}
+            for trunc in range(1, product.trunc + 1):
+                assert dict(s.restrict(trunc).terms.items()) == {m: v for m, v in px.items() if m.max_natural() <= trunc}
+        for y, dy, py in zip(born, copies, plains):
+            assert (x == y) == (dx == dy) == (x == dy) == (dx == y) == (px == py)
+            for sign in (1, -1):
+                expected = plain_sum(px, py, sign)
+                for s in (x + y, dx + dy, x + dy) if sign == 1 else (x - y, dx - dy, dx - y):
+                    assert dict(s.terms.items()) == expected and str(s) == plain_str(expected)
 
 
 class TestNoMonomialIsBuilt:
@@ -474,7 +535,7 @@ class TestWalkEmulationPins:
         # it first, and the error gives the target's own 3
         x1_cubed = reference_mask((0, (3,), 0))
         target = k_series(spec(3), 3) + core._expand(3, 3, {x1_cubed: 1})
-        assert core._coordinates(target)[x1_cubed] == 3
+        assert target._coords[x1_cubed] == 3
         with pytest.raises(NotDivisibleError) as err:
             decompose_l(target)
         e = err.value
@@ -575,21 +636,24 @@ class TestProductPlans:
             for trunc in sorted({max(d - 1, 1), max(d, 1)}):
                 left, right = member(ka, a, trunc), member(kb, b, trunc)
                 expected = list(reference_pair_loop(left, right).items())
-                assert list(core._coordinates(left * right).items()) == expected, (ka, a, kb, b, trunc)
+                assert list((left * right)._coords.items()) == expected, (ka, a, kb, b, trunc)
                 count += 1
         assert count > 3000
         assert (core._plan.cache_info() == before) == (plan_cache == "uncached")
 
     def test_dict_born_factors(self):
-        # factors that keep their monomials read their coordinates in
-        # placement order, which is the order of the member's table
+        # a factor built by hand from a member's monomials keeps the
+        # member's table in its order, so its products follow the pair
+        # loop's order too; the monomial convolution of the members, which
+        # reads their placements, gives that table
         for ka, a, kb, b in itertools.islice(plan_pairs(), 0, None, 7):
             trunc = max(a.n + b.n, 1)
             left, right = member(ka, a, trunc), member(kb, b, trunc)
             expected = list(reference_pair_loop(left, right).items())
-            for x, y in ((dict_born(left), right), (left, dict_born(right)), (dict_born(left), dict_born(right))):
-                assert type(x.terms) is not core._Placements or type(y.terms) is not core._Placements
-                assert list(core._coordinates(x * y).items()) == expected, (ka, a, kb, b)
+            for x, y in ((hand_built(left), right), (left, hand_built(right)), (hand_built(left), hand_built(right))):
+                assert type(x.terms) is type(y.terms) is core._Placements
+                assert list((x * y)._coords.items()) == expected, (ka, a, kb, b)
+            assert dict(core._convolve(left, right)._coords) == dict(expected), (ka, a, kb, b)
 
     def test_a_plan_holds_the_cached_quasi_shuffle(self):
         # (1, (2, 1), 0) of degree 4 times (0, (1, 3), 2) of degree 6: the
@@ -604,12 +668,12 @@ def check_reconstruct(dec, trunc):
     """reconstruct against the member sum at V, as listed in _MEMBER_SUM and by the subset sum alone."""
     expected = reference_member_sum(dec)
     series = reconstruct(dec, trunc)
-    assert dict(core._coordinates(series)) == expected
+    assert dict(series._coords) == expected
     assert series == core._expand(dec.degree, trunc, expected)
     listed = basis._MEMBER_SUM
     try:
         basis._MEMBER_SUM = {}
-        assert dict(core._coordinates(reconstruct(dec, trunc))) == expected
+        assert dict(reconstruct(dec, trunc)._coords) == expected
     finally:
         basis._MEMBER_SUM = listed
 

@@ -9,7 +9,8 @@ module may define again a helper that ``conftest.py`` or
 mask codec of M-coordinates is defined once, in ``core.py``; the
 lone-bit rule is written once, in ``families._lone``; the integer rule's
 message is written once, in ``core._check_int``, and the refusal to
-assign or delete a field once, in ``core._Frozen``; no library class
+assign or delete a field once, in ``core._Frozen``; a ``Series`` has its
+fields written only by its two constructors; no library class
 keeps a ``__post_init__`` hook; no library module imports
 ``dataclasses``; and the package's table of names that load on first use
 agrees with their modules and with ``__all__``.
@@ -165,6 +166,19 @@ def test_fields_are_frozen_in_core_only():
         if isinstance(fn, ast.FunctionDef) and fn.name in ("__setattr__", "__delattr__")
     )
     assert homes == [("core.py", "_Frozen", "__delattr__"), ("core.py", "_Frozen", "__setattr__")]
+
+
+def test_a_series_is_assigned_only_at_birth():
+    # a Series decides its fields in its constructors; nothing in core
+    # writes one afterwards
+    tree = parsed(TESTS.parent / "src" / "borderqsym" / "core.py")
+    owner = owners(tree)
+    writers = {
+        owner.get(id(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+    }
+    assert writers == {"__init__", "_trusted"}
 
 
 def test_no_post_init_hook():

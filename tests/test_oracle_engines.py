@@ -140,7 +140,7 @@ class TestRationalSolveAgainstTheFractionSolver:
             pairs = [(a, b) for n in range(d + 1) for a in all_subsets(n) for b in all_subsets(d - n)]
             for a, b in pairs if d <= 3 else rng.sample(pairs, 4):
                 for target in perturbations(member_product(kind, a, kind, b, d)):
-                    if core._coordinates(target) is not None:
+                    if target._coords is not None:
                         continue
                     monkeypatch.setattr(core._Placements, "_placements", refuse)
                     assert rational_solve(columns, target) is None
@@ -266,7 +266,7 @@ class TestCoordinatePathsAreTaken:
             __getitem__ = __iter__ = __len__ = get = keys = items = values = _refuse
 
         def sealed(series):
-            return core.Series._trusted(series.degree, series.trunc, Sealed(), core._coordinates(series))
+            return core.Series._trusted(series.degree, series.trunc, Sealed(), series._coords)
 
         columns = [k_series(s, 4) for s in all_subsets(3)]
         columns.insert(2, columns[1])

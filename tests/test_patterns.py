@@ -85,7 +85,7 @@ def test_spreading_matches_the_flags_sweep():
         expected = reference_flags_spreading(f)
         assert check_spreading(f) == expected, f
         answers.add(expected)
-        branches.add(core._coordinates(f) is None)
+        branches.add(f._coords is None)
     assert answers == branches == {True, False}
 
 
